@@ -25,11 +25,13 @@ from .states import (
     PureState,
     LocalOperatorChain,
     apply_chain,
+    apply_factor,
     chain_product,
     fidelity,
     derive_rng,
 )
 from .critical import scale_to_critical
+from .stabilizer import _alternating_align
 
 __all__ = [
     "ConversionPlan",
@@ -132,13 +134,13 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
         raise ValueError("state must be normalized")
     n = psi.n
     cond_p = np.empty(n)
-    t = psi.tensor()
+    amp = psi.amplitudes
     for j, (n0, _) in enumerate(plan.measurements):
-        t_next = np.moveaxis(np.tensordot(n0, t, axes=([1], [j])), 0, j)
-        nrm = np.linalg.norm(t_next)
+        amp = apply_factor(n0, amp, j)
+        nrm = np.linalg.norm(amp)
         cond_p[j] = nrm**2
-        t = t_next / nrm
-    final = PureState(n, complex(plan.connector.scalar) * t.reshape(-1))
+        amp = amp / nrm
+    final = PureState(n, complex(plan.connector.scalar) * amp)
     success_fid = fidelity(final, plan.target)
 
     if trials == 0:
@@ -171,42 +173,6 @@ def deterministic_convertible(psi: PureState, chain: LocalOperatorChain
     )
 
 
-def _fidelity_align(psi: PureState, phi: PureState, restarts: int, seed: int,
-                    max_sweeps: int = 400, ftol: float = 1e-15
-                    ) -> tuple[np.ndarray, float]:
-    """Best unitary chain u maximizing |<phi|u psi>|, by alternating updates."""
-    n = psi.n
-    psi_t = psi.tensor()
-    phi_t = phi.tensor()
-    best_fac, best_val = None, -np.inf
-    for r in range(restarts):
-        rng = derive_rng(seed, r)
-        factors = np.empty((n, 2, 2), dtype=complex)
-        for k in range(n):
-            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            q, rr = np.linalg.qr(z)
-            factors[k] = q * (np.diag(rr) / np.abs(np.diag(rr)))
-        prev = -np.inf
-        for _ in range(max_sweeps):
-            for k in range(n):
-                chi = psi_t
-                for j in range(n):
-                    if j != k:
-                        chi = np.moveaxis(np.tensordot(factors[j], chi, axes=([1], [j])), 0, j)
-                a = np.moveaxis(chi, k, 0).reshape(2, -1)
-                b = np.moveaxis(phi_t, k, 0).reshape(2, -1)
-                c = a @ b.conj().T  # <phi|u psi> = Tr(u_k c)
-                u_l, s, vh = np.linalg.svd(c)
-                factors[k] = vh.conj().T @ u_l.conj().T
-            val = float(np.sum(np.linalg.svd(c, compute_uv=False)))
-            if val - prev < ftol:
-                break
-            prev = val
-        if val > best_val:
-            best_val, best_fac = val, factors.copy()
-    return best_fac, best_val
-
-
 def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
                    seed: int = 0) -> LocalOperatorChain | None:
     """Search for an invertible chain g with g psi = phi (up to phase).
@@ -225,8 +191,10 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
     for res, name in ((scale_psi, "psi"), (scale_phi, "phi")):
         if res.status != "converged":
             raise ValueError(f"no critical representative for {name} ({res.status})")
-    fac, _ = _fidelity_align(scale_psi.representative, scale_phi.representative,
-                             restarts, seed)
+    factors, residuals = _alternating_align(
+        scale_psi.representative, scale_phi.representative, (1.0,), restarts,
+        seed, special=False)
+    fac = factors[0, np.argmin(residuals[0])]
     u = LocalOperatorChain(fac / np.sqrt(np.linalg.det(fac))[:, None, None], "K")
     if fidelity(apply_chain(u, scale_psi.representative),
                 scale_phi.representative) < 1.0 - 1e-8:

@@ -19,6 +19,7 @@ from .states import (
     PureState,
     LocalOperatorChain,
     apply_chain,
+    apply_factor,
     reduced_density,
     sample_chain,
     derive_rng,
@@ -119,9 +120,7 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
             g, min_eig = _flattening_factor(rho)
             if min_eig < _SINGULAR_RHO_EIG:
                 return finish("null_cone", sweep)
-            t = work.tensor()
-            t = np.moveaxis(np.tensordot(g, t, axes=([1], [k - 1])), 0, k - 1)
-            work = PureState(n, t.reshape(-1))
+            work = PureState(n, apply_factor(g, work.amplitudes, k - 1))
             acc[k - 1] = g @ acc[k - 1]
         trajectory.append(work.norm())
         if work.norm() < _NULL_CONE_NORM_FRACTION * initial_norm:

@@ -42,8 +42,9 @@ def _sigma_y_power_apply(vec: np.ndarray, m: int) -> np.ndarray:
     sigma_y sends |0> -> i|1> and |1> -> -i|0>, so basis index j maps to
     its bit complement with phase i**m * (-1)**popcount(j).
     """
-    idx = np.arange(2**m, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx) % 2).astype(float)
+    signs = np.ones(1)
+    for _ in range(m):  # one more bit: the upper half flips parity
+        signs = np.concatenate([signs, -signs])
     return (1j**m) * (signs * vec)[::-1]
 
 

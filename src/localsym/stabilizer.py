@@ -3,10 +3,14 @@
 The continuous part measures the dimension of the Lie-algebra
 stabilizer {X in Lie(G) : X|psi> = 0} from the singular values of the
 tangent map X -> X|psi>.  The discrete part searches the compact group
-SU(2)^n for isolated product-operator symmetries by alternating
-per-qubit closed-form updates from random restarts; restricting to the
-compact group is justified on critical states with zero-dimensional
-stabilizer, where every product-operator symmetry is unitary.
+SU(2)^n for isolated product-operator symmetries u with u psi = t psi
+from random restarts; restricting to the compact group is justified on
+critical states with zero-dimensional stabilizer, where every
+product-operator symmetry is unitary.
+
+The search (``_alternating_align``, also used by ``convert``) runs all
+restarts, and at odd n the phases t = 1, i, -i, as one batch of
+alternating sweeps; each per-qubit update is a closed-form 2x2 step.
 
 An empty search result is numerical evidence at the given budget, not a
 proof; verdict records therefore carry the budget they were obtained
@@ -23,6 +27,7 @@ from .states import (
     PureState,
     LocalOperatorChain,
     apply_chain,
+    apply_factor,
     chain_adjoint,
     derive_rng,
 )
@@ -79,14 +84,9 @@ class TrivialityVerdict:
 
 def _tangent_matrix(psi: PureState) -> np.ndarray:
     """2**n x 3n matrix whose columns are (I..X..I)|psi>, X in sl(2)."""
-    n = psi.n
-    cols = np.empty((psi.dim, 3 * n), dtype=complex)
-    t = psi.tensor()
-    for k in range(n):
-        for j, x in enumerate(SL2_BASIS):
-            xt = np.moveaxis(np.tensordot(x, t, axes=([1], [k])), 0, k)
-            cols[:, 3 * k + j] = xt.reshape(-1)
-    return cols
+    basis = np.stack(SL2_BASIS)
+    return np.concatenate([apply_factor(basis, psi.amplitudes, k)
+                           for k in range(psi.n)]).T
 
 
 def lie_stabilizer_dim(psi: PureState, cutoff: float = DEFAULT_SVD_CUTOFF) -> StabilizerProbe:
@@ -113,93 +113,117 @@ def lie_stabilizer_dim(psi: PureState, cutoff: float = DEFAULT_SVD_CUTOFF) -> St
 # compact-group search
 # ---------------------------------------------------------------------------
 
-def _su2_procrustes(m: np.ndarray) -> np.ndarray:
-    """u in SU(2) maximizing Re Tr(u m)."""
-    u_l, s, vh = np.linalg.svd(m)
-    if s[0] == 0.0:
-        return np.eye(2, dtype=complex)
-    # u = vh^H diag(e^{i th1}, e^{i th2}) u_l^H with th1 + th2 fixed by det(u) = 1
-    det_free = np.linalg.det(vh.conj().T @ u_l.conj().T)
-    phi = -np.angle(det_free)
-    th1 = np.arctan2(s[1] * np.sin(phi), s[0] + s[1] * np.cos(phi))
-    th2 = phi - th1
-    d = np.array([np.exp(1j * th1), np.exp(1j * th2)])
-    return (vh.conj().T * d) @ u_l.conj().T
+_BATCH_BYTES = 1 << 24  # cap on the amplitudes of one batch of search rows
 
 
-def _overlap_matrix(psi_t: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
-    """2x2 matrix C with <psi|u psi> = Tr(u_k C), all other factors fixed."""
-    n = psi_t.ndim
-    chi = psi_t
-    for j in range(n):
-        if j == k:
-            continue
-        chi = np.moveaxis(np.tensordot(factors[j], chi, axes=([1], [j])), 0, j)
-    a = np.moveaxis(chi, k, 0).reshape(2, -1)
-    b = np.moveaxis(psi_t, k, 0).reshape(2, -1)
-    return a @ b.conj().T
+def _su2_step(m: np.ndarray) -> np.ndarray:
+    """u in SU(2) maximizing Re Tr(u m), for a stack of 2x2 matrices m.
 
-
-def _alternating_minimize(psi: PureState, target_phase: complex,
-                          rng: np.random.Generator,
-                          max_sweeps: int = 1000) -> tuple[np.ndarray, float]:
-    """Locally minimize ||u psi - t psi|| over SU(2)^n from a random start.
-
-    Equivalent to maximizing Re(conj(t) <psi|u psi>), one closed-form
-    2x2 Procrustes update per qubit.  Convergence is linear, so the
-    residual is tracked directly and iteration stops on stall or once
-    it reaches the double-precision floor.  Returns (factors, residual).
+    With u = [[a, b], [-conj(b), conj(a)]], Re Tr(u m) = Re(a p + b q)
+    for p = m00 + conj(m11) and q = m10 - conj(m01), so the maximum over
+    |a|^2 + |b|^2 = 1 is at (a, b) = conj(p, q) / sqrt(|p|^2 + |q|^2).
     """
-    n = psi.n
-    psi_t = psi.tensor()
-    target = target_phase * psi.amplitudes
-    factors = np.empty((n, 2, 2), dtype=complex)
+    p = m[..., 0, 0] + m[..., 1, 1].conj()
+    q = m[..., 1, 0] - m[..., 0, 1].conj()
+    # scale by the larger modulus in real arithmetic, exact even for subnormals
+    big = np.maximum(abs(p), abs(q))
+    big = np.where(big == 0.0, 1.0, big)
+    p, q = p.real / big + 1j * (p.imag / big), q.real / big + 1j * (q.imag / big)
+    p = np.where((p == 0.0) & (q == 0.0), 1.0, p)  # m = 0: take the identity
+    nrm = np.hypot(abs(p), abs(q))
+    a, b = p.conj() / nrm, q.conj() / nrm
+    return np.stack([a, b, -b.conj(), a.conj()], -1).reshape(a.shape + (2, 2))
+
+
+def _u2_step(m: np.ndarray) -> np.ndarray:
+    """u in U(2) maximizing Re Tr(u m): V W^H for m = W S V^H."""
+    w, _, vh = np.linalg.svd(m)
+    return (w @ vh).conj().swapaxes(-1, -2)
+
+
+def _start_factors(n: int, restarts: int, seed: int, special: bool) -> np.ndarray:
+    """(restarts, n, 2, 2) Haar U(2) factors, SU(2) if special; row r from derive_rng(seed, r)."""
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    z = np.stack([derive_rng(seed, r).standard_normal((n, 2, 2, 2))
+                  for r in range(restarts)])
+    q, r = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / abs(d))[..., None, :]
+    if special:
+        q = q / np.sqrt(np.linalg.det(q))[..., None, None]
+    return q
+
+
+def _sweep_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray,
+                factors: np.ndarray, step) -> np.ndarray:
+    """Maximize Re <t_r target|u_r psi> for every row r by alternating sweeps.
+
+    Updates ``factors`` (rows, n, 2, 2) in place; returns the residuals
+    ||u_r psi - t_r target||.  chi = u psi is held, so updating qubit k
+    costs one overlap, C = u_k^dag <target|chi>_k, and one apply.  A row
+    stops below 1e-14 or after 8 stalled sweeps and leaves the batch.
+    """
+    rows, n = factors.shape[:2]
+    chi = np.broadcast_to(psi, (rows, psi.size))
     for k in range(n):
-        z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        q, r = np.linalg.qr(z)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        factors[k] = q / np.sqrt(np.linalg.det(q))
-    tbar = np.conj(target_phase)
-
-    def residual() -> float:
-        out = psi_t
-        for j in range(n):
-            out = np.moveaxis(np.tensordot(factors[j], out, axes=([1], [j])), 0, j)
-        return float(np.linalg.norm(out.reshape(-1) - target))
-
-    prev = np.inf
-    stalls = 0
-    res = residual()
-    for _ in range(max_sweeps):
+        chi = apply_factor(factors[:, k], chi, k)
+    # conj(target) with qubit k last: <target|chi> on qubit k is one matmul
+    bra = [target.conj().reshape(2**k, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
+           for k in range(n)]
+    want = phases[:, None] * target
+    tbar = phases.conj()[:, None, None]
+    live, fac = np.arange(rows), factors.copy()
+    prev, stalls = np.full(rows, np.inf), np.zeros(rows, dtype=int)
+    residual = np.empty(rows)
+    for sweep in range(1000):
         for k in range(n):
-            c = _overlap_matrix(psi_t, factors, k)
-            factors[k] = _su2_procrustes(tbar * c)
-        res = residual()
-        if res < 1e-14:
+            x = chi.reshape(live.size, 2**k, 2, -1).transpose(0, 2, 1, 3)
+            old_dag = fac[:, k].conj().swapaxes(-1, -2)
+            u = step(tbar * (old_dag @ (x.reshape(live.size, 2, -1) @ bra[k])))
+            chi = apply_factor(u @ old_dag, chi, k)
+            fac[:, k] = u
+        res = np.linalg.norm(chi - want, axis=1)
+        stalls = np.where(res > prev * (1.0 - 1e-3), stalls + 1, 0)
+        done = (res < 1e-14) | (stalls >= 8) | (sweep == 999)
+        factors[live[done]] = fac[done]
+        residual[live[done]] = res[done]
+        keep = ~done
+        if not keep.any():
             break
-        if res > prev * (1.0 - 1e-3):
-            stalls += 1
-            if stalls >= 8:
-                break
-        else:
-            stalls = 0
-        prev = res
-    return factors, res
+        live, fac, chi, want, tbar = live[keep], fac[keep], chi[keep], want[keep], tbar[keep]
+        prev, stalls = res[keep], stalls[keep]
+    return residual
 
 
-def _identity_distance(factors: np.ndarray) -> float:
-    """max over factors of the sign-aligned Frobenius distance to I."""
-    eye = np.eye(2)
-    return max(
-        min(np.linalg.norm(f - eye), np.linalg.norm(f + eye)) for f in factors
-    )
+def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
+                       seed: int, special: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize Re <t target|u psi> over SU(2)^n or U(2)^n from random starts.
+
+    Start r of every phase t comes from derive_rng(seed, r).  Returns
+    factors (len(phases), restarts, n, 2, 2) and residuals ||u psi - t
+    target|| (len(phases), restarts).  Rows are independent, so cutting
+    the batch into chunks of ``_BATCH_BYTES`` changes no row.
+    """
+    phases = np.asarray(phases, dtype=complex)
+    start = _start_factors(psi.n, restarts, seed, special)
+    factors = np.tile(start, (phases.size, 1, 1, 1))
+    row_phases = np.repeat(phases, restarts)
+    residuals = np.empty(factors.shape[0])
+    chunk = max(1, _BATCH_BYTES // (16 * psi.dim))
+    step = _su2_step if special else _u2_step
+    for lo in range(0, factors.shape[0], chunk):
+        rows = slice(lo, lo + chunk)
+        residuals[rows] = _sweep_rows(psi.amplitudes, target.amplitudes,
+                                      row_phases[rows], factors[rows], step)
+    return (factors.reshape(phases.size, restarts, psi.n, 2, 2),
+            residuals.reshape(phases.size, restarts))
 
 
 def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return max(
-        min(np.linalg.norm(fa - fb), np.linalg.norm(fa + fb))
-        for fa, fb in zip(a, b)
-    )
+    """max over factors of the sign-aligned Frobenius distance."""
+    return float(np.max(np.minimum(np.linalg.norm(a - b, axis=(-2, -1)),
+                                   np.linalg.norm(a + b, axis=(-2, -1)))))
 
 
 def _require_search_preconditions(psi: PureState):
@@ -215,27 +239,32 @@ def _require_search_preconditions(psi: PureState):
         )
 
 
-def _search(psi: PureState, target_phase: complex, restarts: int, seed: int,
-            tol: float, exclude_identity: bool) -> list[tuple[LocalOperatorChain, float]]:
-    found: list[tuple[LocalOperatorChain, float]] = []
-    for r in range(restarts):
-        rng = derive_rng(seed, r)
-        factors, residual = _alternating_minimize(psi, target_phase, rng)
-        if residual >= tol:
-            continue
-        if exclude_identity and _identity_distance(factors) <= _IDENTITY_EXCLUSION_RADIUS:
-            continue
-        if any(_chain_distance(factors, kept.factors) < _DEDUP_RADIUS
-               for kept, _ in found):
-            continue
-        chain = LocalOperatorChain(factors, "K")
-        # independent re-verification of the reported residual
-        check = np.linalg.norm(
-            apply_chain(chain, psi).amplitudes - target_phase * psi.amplitudes
-        )
-        if check <= tol:
-            found.append((chain, float(check)))
-    return found
+def _search(psi: PureState, phases, restarts: int, seed: int,
+            tol: float) -> list[tuple[complex, LocalOperatorChain, float]]:
+    """Verified hits (t, u, ||u psi - t psi||) below tol, in phase order.
+
+    Hits near the identity are dropped for t = 1, near-duplicates are
+    merged per phase, and every kept chain is re-verified.
+    """
+    all_factors, all_residuals = _alternating_align(psi, psi, phases, restarts,
+                                                    seed, special=True)
+    hits: list[tuple[complex, LocalOperatorChain, float]] = []
+    for t, factors, residuals in zip(phases, all_factors, all_residuals):
+        exclude_identity = abs(t - 1.0) <= 1e-12
+        found: list[LocalOperatorChain] = []
+        for fac, residual in zip(factors, residuals):
+            if residual >= tol:
+                continue
+            if exclude_identity and _chain_distance(fac, np.eye(2)) <= _IDENTITY_EXCLUSION_RADIUS:
+                continue
+            if any(_chain_distance(fac, kept.factors) < _DEDUP_RADIUS for kept in found):
+                continue
+            chain = LocalOperatorChain(fac, "K")
+            check = np.linalg.norm(apply_chain(chain, psi).amplitudes - t * psi.amplitudes)
+            if check <= tol:
+                found.append(chain)
+                hits.append((t, chain, float(check)))
+    return hits
 
 
 def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0,
@@ -248,7 +277,7 @@ def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0
     near-duplicates are merged.
     """
     _require_search_preconditions(psi)
-    return _search(psi, 1.0, restarts, seed, tol, exclude_identity=True)
+    return [(chain, res) for _, chain, res in _search(psi, (1.0,), restarts, seed, tol)]
 
 
 def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
@@ -263,8 +292,7 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     if abs(abs(t) - 1.0) > 1e-12:
         raise ValueError(f"phase must have unit modulus, got |t| = {abs(t)}")
     _require_search_preconditions(psi)
-    exclude = abs(t - 1.0) <= 1e-12
-    return _search(psi, t, restarts, seed, tol, exclude_identity=exclude)
+    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)]
 
 
 def adjoint_closure_check(psi: PureState, chain: LocalOperatorChain) -> tuple[float, float]:
@@ -302,25 +330,25 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
                                  None, None, restarts, tol)
     rep = scaling.representative
     probe = lie_stabilizer_dim(rep)
+
+    def verdict(outcome: str, gate: str | None) -> TrivialityVerdict:
+        return TrivialityVerdict(outcome, gate, probe, rep, restarts, tol)
+
     if probe.lie_dim != 0:
-        return TrivialityVerdict("non_trivial", "lie_dim", probe, rep, restarts, tol)
-    probe.discrete_candidates = _search(rep, 1.0, restarts, seed, tol,
-                                        exclude_identity=True)
+        return verdict("non_trivial", "lie_dim")
+    # odd n: the searches at t = 1, i, -i run as one batch; gates keep their order
+    phases = (1.0,) if rep.n % 2 == 0 else (1.0, 1j, -1j)
+    hits = _search(rep, phases, restarts, seed, tol)
+    probe.discrete_candidates = [(chain, res) for t, chain, res in hits if t == 1.0]
     if probe.discrete_candidates:
-        return TrivialityVerdict("non_trivial", "discrete_search", probe, rep,
-                                 restarts, tol)
+        return verdict("non_trivial", "discrete_search")
     if rep.n % 2 == 0:
         if abs(f2(rep).value) <= 1e-10:
-            return TrivialityVerdict("inconclusive", "f2_zero", probe, rep,
-                                     restarts, tol)
-        return TrivialityVerdict("trivial", None, probe, rep, restarts, tol)
-    for t in (1j, -1j):
-        hits = _search(rep, t, restarts, seed, tol, exclude_identity=False)
-        probe.gtilde_phase_hits.extend((t, chain, res) for chain, res in hits)
+            return verdict("inconclusive", "f2_zero")
+        return verdict("trivial", None)
+    probe.gtilde_phase_hits = hits
     if probe.gtilde_phase_hits:
-        return TrivialityVerdict("non_trivial", "phase_search", probe, rep,
-                                 restarts, tol)
+        return verdict("non_trivial", "phase_search")
     if abs(f4(rep).value) <= 1e-10:
-        return TrivialityVerdict("inconclusive", "f4_zero", probe, rep,
-                                 restarts, tol)
-    return TrivialityVerdict("trivial", None, probe, rep, restarts, tol)
+        return verdict("inconclusive", "f4_zero")
+    return verdict("trivial", None)

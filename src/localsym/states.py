@@ -129,13 +129,6 @@ class LocalOperatorChain:
     def n(self) -> int:
         return self.factors.shape[0]
 
-    def dense(self) -> np.ndarray:
-        """Full 2**n x 2**n matrix; test/oracle use only (n small)."""
-        out = np.array([[self.scalar]], dtype=complex)
-        for f in self.factors:
-            out = np.kron(out, f)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # named states
@@ -208,15 +201,26 @@ def make_gabcd(a: complex, b: complex, c: complex, d: complex,
 # state arithmetic
 # ---------------------------------------------------------------------------
 
+def apply_factor(u: np.ndarray, amp: np.ndarray, k: int) -> np.ndarray:
+    """The 2x2 matrix u applied to qubit k (0-based) of flat amplitudes.
+
+    ``u`` has shape (..., 2, 2) and ``amp`` shape (..., 2**n); their
+    leading axes are batch axes and broadcast against each other.
+    """
+    t = amp.reshape(amp.shape[:-1] + (2**k, 2, -1))
+    out = (u[..., None, :, 0, None] * t[..., None, 0, :]
+           + u[..., None, :, 1, None] * t[..., None, 1, :])
+    return out.reshape(out.shape[:-3] + (-1,))
+
+
 def apply_chain(chain: LocalOperatorChain, psi: PureState) -> PureState:
     """(g_1 (x) ... (x) g_n)|psi>, applied one qubit at a time."""
     if chain.n != psi.n:
         raise ValueError(f"chain acts on {chain.n} qubits, state has {psi.n}")
-    t = psi.tensor()
+    amp = psi.amplitudes
     for k, g in enumerate(chain.factors):
-        t = np.moveaxis(np.tensordot(g, t, axes=([1], [k])), 0, k)
-    amp = chain.scalar * t.reshape(-1)
-    return PureState(psi.n, amp)
+        amp = apply_factor(g, amp, k)
+    return PureState(psi.n, chain.scalar * amp)
 
 
 def reduced_density(psi: PureState, k: int) -> np.ndarray:

@@ -64,7 +64,7 @@ def seed_state_witnesses():
         found = discrete_stabilizer_search(psi, restarts=32, seed=i)
         targets = [kron_all([p] * 4) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
         missing = [t for t in targets
-                   if min((phase_aligned_distance(c.dense(), t)
+                   if min((phase_aligned_distance(kron_all(c.factors), t)
                            for c, _ in found), default=np.inf) >= 1e-6]
         if missing:  # top up the budget; still >= 32 restarts overall
             found += discrete_stabilizer_search(psi, restarts=32, seed=1000 + i)
@@ -134,7 +134,7 @@ def test_criterion_05_seed_state_symmetries(seed_state_witnesses):
         for t in targets:
             residual = np.linalg.norm(t @ psi.amplitudes - psi.amplitudes)
             ok &= residual <= 1e-12
-            recovered = min((phase_aligned_distance(c.dense(), t)
+            recovered = min((phase_aligned_distance(kron_all(c.factors), t)
                              for c, _ in found), default=np.inf)
             ok &= recovered < 1e-6
     check("criterion 5: Pauli-string symmetries of 10 random seed states "

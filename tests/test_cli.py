@@ -116,6 +116,14 @@ def test_stab_l5_witness(tmp_path, capsys):
     assert payload["gtilde_phase_hits"]
 
 
+def test_stab_rejects_zero_restarts(tmp_path, capsys):
+    state = tmp_path / "h5.json"
+    main(["gen", "haar", "--n", "5", "--seed", "0", "--out", str(state)])
+    assert main(["stab", str(state), "--restarts", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "restart" in err and "Traceback" not in err
+
+
 def test_pmax_and_protocol(tmp_path, capsys):
     state = tmp_path / "l5.json"
     chain = tmp_path / "g.json"
@@ -159,3 +167,10 @@ def test_genericity_command(tmp_path):
     check_envelope(doc)
     assert doc["payload"]["samples"] == 2
     assert len(doc["payload"]["records"]) == 2
+
+
+def test_genericity_rejects_zero_restarts(capsys):
+    assert main(["genericity", "--n", "5", "--samples", "1",
+                 "--restarts", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "restart" in err and "Traceback" not in err

@@ -135,6 +135,13 @@ def test_find_connector_roundtrip():
     assert abs(out.norm() - 1.0) < 1e-8
 
 
+def test_find_connector_rejects_zero_restarts():
+    psi = sample_haar_state(4, 8)
+    phi = apply_chain(sample_chain(4, "G", 9), psi).normalized()
+    with pytest.raises(ValueError, match="restart"):
+        find_connector(psi, phi, restarts=0)
+
+
 def test_find_connector_inequivalent_states():
     psi = make_ghz(4)
     phi = sample_haar_state(4, 10)

@@ -15,6 +15,8 @@ from localsym import (
     sample_haar_state,
 )
 
+from localsym.invariants import _sigma_y_power_apply
+
 from conftest import SIGMA_Y, kron_all
 
 
@@ -31,6 +33,14 @@ def f4_dense(psi):
     m = kron_all([SIGMA_Y] * (psi.n - 1))
     b = np.array([[phi[i] @ m @ phi[j] for j in (0, 1)] for i in (0, 1)])
     return np.linalg.det(b)
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_sigma_y_parity_signs(m):
+    # sigma_y^(x)m sends |j> to i**m (-1)**popcount(j) |complement of j>
+    signs = _sigma_y_power_apply(np.ones(2**m), m)[::-1] / 1j**m
+    expected = [(-1) ** bin(j).count("1") for j in range(2**m)]
+    assert np.array_equal(signs, expected)
 
 
 def test_slipvalue_validation():

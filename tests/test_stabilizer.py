@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localsym import (
     LocalOperatorChain,
@@ -15,6 +16,9 @@ from localsym import (
     make_gabcd,
     sample_haar_state,
 )
+
+from localsym import stabilizer
+from localsym.stabilizer import _DEDUP_RADIUS, _chain_distance, _su2_step
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -66,7 +70,7 @@ def test_discrete_search_recovers_pauli_strings():
         assert residual < 1e-8
     targets = [kron_all([p] * 4) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
     for target in targets:
-        dists = [phase_aligned_distance(chain.dense(), target)
+        dists = [phase_aligned_distance(kron_all(chain.factors), target)
                  for chain, _ in found]
         assert min(dists) < 1e-6
 
@@ -170,3 +174,46 @@ def test_probe_l6_inconclusive_f2_zero():
 def test_probe_requires_normalized():
     with pytest.raises(ValueError):
         gtilde_triviality_probe(make_w(3, normalized=False))
+
+
+def test_probe_rejects_zero_restarts():
+    with pytest.raises(ValueError, match="restart"):
+        gtilde_triviality_probe(sample_haar_state(5, 0), restarts=0)
+
+
+def svd_su2_procrustes(m):
+    """Reference: u in SU(2) maximizing Re Tr(u m) from the SVD of m."""
+    u_l, s, vh = np.linalg.svd(m)
+    if s[0] == 0.0:
+        return np.eye(2, dtype=complex)
+    # u = vh^H diag(e^{i th1}, e^{i th2}) u_l^H with th1 + th2 fixed by det(u) = 1
+    phi = -np.angle(np.linalg.det(vh.conj().T @ u_l.conj().T))
+    th1 = np.arctan2(s[1] * np.sin(phi), s[0] + s[1] * np.cos(phi))
+    d = np.exp(1j * np.array([th1, phi - th1]))
+    return (vh.conj().T * d) @ u_l.conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_su2_step_matches_svd_reference(entries):
+    m = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
+    u = _su2_step(m)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-12
+    assert abs(np.linalg.det(u) - 1.0) < 1e-12
+    best = np.trace(svd_su2_procrustes(m) @ m).real
+    assert abs(np.trace(u @ m).real - best) < 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_search_rows_do_not_depend_on_batch_size(seed):
+    psi = make_gabcd(1, 2 + 1j, 3, 0.5)
+    few = discrete_stabilizer_search(psi, restarts=8, seed=seed)
+    many = discrete_stabilizer_search(psi, restarts=32, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stabilizer, "_BATCH_BYTES", 5 * 16 * psi.dim)  # 5 rows a chunk
+        chunked = discrete_stabilizer_search(psi, restarts=32, seed=seed)
+    assert [c.factors.tolist() for c, _ in chunked] == [c.factors.tolist() for c, _ in many]
+    for chain, _ in few:
+        assert min(_chain_distance(chain.factors, other.factors)
+                   for other, _ in many) < _DEDUP_RADIUS
