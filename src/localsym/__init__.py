@@ -11,13 +11,9 @@ from .states import (
     make_gabcd,
     apply_chain,
     reduced_density,
-    permute_qubits,
-    inner,
-    norm,
     fidelity,
     sample_haar_state,
     sample_chain,
-    identity_chain,
     chain_product,
     chain_adjoint,
 )

@@ -54,19 +54,12 @@ def _emit(doc: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _load_state(path: str):
+def _load(read, path: str, kind: str):
+    """read(path), with any file or format error as a CliError naming the kind of file."""
     try:
-        psi = read_state(path)
+        return read(path)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read state file {path}: {exc}") from exc
-    return psi
-
-
-def _load_chain(path: str):
-    try:
-        return read_chain(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read chain file {path}: {exc}") from exc
+        raise CliError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +92,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    psi = _load_state(args.state)
+    psi = _load(read_state, args.state, "state")
     nrm = psi.norm()
     unit = psi.normalized()
     crit = criticality_report(unit, tol=args.tol)
@@ -128,7 +121,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    psi = _load_state(args.state).normalized()
+    psi = _load(read_state, args.state, "state").normalized()
     result = scale_to_critical(psi, tol=args.tol, max_iter=args.max_iter)
     payload = {
         "status": result.status,
@@ -147,7 +140,7 @@ def cmd_scale(args) -> int:
 
 
 def cmd_stab(args) -> int:
-    psi = _load_state(args.state).normalized()
+    psi = _load(read_state, args.state, "state").normalized()
     verdict = gtilde_triviality_probe(psi, restarts=args.restarts,
                                       seed=args.seed, tol=args.tol)
     payload = {
@@ -195,8 +188,8 @@ def _plan_payload(plan) -> dict:
 
 
 def _conversion_inputs(args):
-    psi = _load_state(args.state).normalized()
-    chain = _load_chain(args.chain)
+    psi = _load(read_state, args.state, "state").normalized()
+    chain = _load(read_chain, args.chain, "chain")
     if chain.n != psi.n:
         raise CliError(
             f"state has {psi.n} qubits but chain has {chain.n} factors")
@@ -206,10 +199,7 @@ def _conversion_inputs(args):
 
 def cmd_pmax(args) -> int:
     psi, chain, trivial = _conversion_inputs(args)
-    try:
-        plan = pmax(psi, chain, trivial)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    plan = pmax(psi, chain, trivial)
     _emit(_envelope("pmax", {"state": args.state, "chain": args.chain,
                              "stabilizer": args.stabilizer},
                     _plan_payload(plan)), args.out)
@@ -218,10 +208,7 @@ def cmd_pmax(args) -> int:
 
 def cmd_protocol(args) -> int:
     psi, chain, trivial = _conversion_inputs(args)
-    try:
-        plan = build_protocol(psi, chain, trivial)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    plan = build_protocol(psi, chain, trivial)
     stats = simulate_protocol(plan, psi, args.trials, args.seed)
     payload = _plan_payload(plan)
     payload["simulation"] = {

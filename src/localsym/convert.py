@@ -130,6 +130,8 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
     """
     if plan.measurements is None:
         raise ValueError("plan has no measurements; use build_protocol")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     if abs(psi.norm() - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
     n = psi.n

@@ -30,6 +30,7 @@ from .states import (
     apply_factor,
     chain_adjoint,
     derive_rng,
+    _haar_u2,
 )
 from .critical import criticality_report, scale_to_critical
 from .invariants import f2, f4
@@ -141,20 +142,6 @@ def _u2_step(m: np.ndarray) -> np.ndarray:
     return (w @ vh).conj().swapaxes(-1, -2)
 
 
-def _start_factors(n: int, restarts: int, seed: int, special: bool) -> np.ndarray:
-    """(restarts, n, 2, 2) Haar U(2) factors, SU(2) if special; row r from derive_rng(seed, r)."""
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    z = np.stack([derive_rng(seed, r).standard_normal((n, 2, 2, 2))
-                  for r in range(restarts)])
-    q, r = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / abs(d))[..., None, :]
-    if special:
-        q = q / np.sqrt(np.linalg.det(q))[..., None, None]
-    return q
-
-
 def _sweep_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray,
                 factors: np.ndarray, step) -> np.ndarray:
     """Maximize Re <t_r target|u_r psi> for every row r by alternating sweeps.
@@ -205,8 +192,11 @@ def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
     target|| (len(phases), restarts).  Rows are independent, so cutting
     the batch into chunks of ``_BATCH_BYTES`` changes no row.
     """
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
     phases = np.asarray(phases, dtype=complex)
-    start = _start_factors(psi.n, restarts, seed, special)
+    start = _haar_u2(np.stack([derive_rng(seed, r).standard_normal((psi.n, 2, 2, 2))
+                               for r in range(restarts)]), special)
     factors = np.tile(start, (phases.size, 1, 1, 1))
     row_phases = np.repeat(phases, restarts)
     residuals = np.empty(factors.shape[0])
@@ -244,8 +234,11 @@ def _search(psi: PureState, phases, restarts: int, seed: int,
     """Verified hits (t, u, ||u psi - t psi||) below tol, in phase order.
 
     Hits near the identity are dropped for t = 1, near-duplicates are
-    merged per phase, and every kept chain is re-verified.
+    merged per phase, and every kept chain is re-verified.  A tol <= 0
+    would keep no hit whatever the search finds, so it is rejected.
     """
+    if tol <= 0:
+        raise ValueError(f"search tolerance must be positive, got {tol}")
     all_factors, all_residuals = _alternating_align(psi, psi, phases, restarts,
                                                     seed, special=True)
     hits: list[tuple[complex, LocalOperatorChain, float]] = []

@@ -11,8 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +24,9 @@ __all__ = [
     "make_gabcd",
     "apply_chain",
     "reduced_density",
-    "permute_qubits",
-    "inner",
-    "norm",
     "fidelity",
     "sample_haar_state",
     "sample_chain",
-    "identity_chain",
     "chain_product",
     "chain_adjoint",
     "derive_rng",
@@ -76,13 +71,17 @@ class PureState:
         return self.amplitudes.reshape((2,) * self.n)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # divided by the largest modulus first: squares of amplitudes
+        # near 1e300 would overflow
+        big = np.max(np.abs(self.amplitudes))
+        return float(big * np.linalg.norm(self.amplitudes / big)) if big > 0 else 0.0
 
     def normalized(self) -> "PureState":
-        nrm = self.norm()
-        if nrm == 0.0:
+        big = np.max(np.abs(self.amplitudes))
+        if big == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return PureState(self.n, self.amplitudes / nrm)
+        unit = self.amplitudes / big
+        return PureState(self.n, unit / np.linalg.norm(unit))
 
 
 @dataclass(frozen=True)
@@ -223,55 +222,40 @@ def apply_chain(chain: LocalOperatorChain, psi: PureState) -> PureState:
     return PureState(psi.n, chain.scalar * amp)
 
 
+def _reduction(amp: np.ndarray, k: int) -> np.ndarray:
+    """Reduced density of qubit k (0-based) of flat amplitudes, unit trace.
+
+    The Hermitian-symmetrized partial trace is divided by its own trace,
+    which equals ||amp||^2, so an unnormalized amp gives the reduction of
+    the normalized state without a renormalized copy.
+    """
+    t = amp.reshape(2**k, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    rho = t @ t.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real
+
+
 def reduced_density(psi: PureState, k: int) -> np.ndarray:
     """Single-qubit reduced density matrix of qubit k (1-based).
 
-    Requires a normalized state; returns a Hermitian 2x2 with unit trace.
+    Returns a Hermitian 2x2 with unit trace, that of the normalized state.
     """
     if not 1 <= k <= psi.n:
         raise ValueError(f"qubit index {k} out of range 1..{psi.n}")
-    t = np.moveaxis(psi.tensor(), k - 1, 0).reshape(2, -1)
-    rho = t @ t.conj().T
-    return 0.5 * (rho + rho.conj().T)
-
-
-def permute_qubits(psi: PureState, perm: Sequence[int]) -> PureState:
-    """Relabel qubits: qubit i of the input becomes qubit perm[i-1]."""
-    n = psi.n
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a permutation of 1..{n}, got {perm}")
-    axes = [0] * n
-    for i, j in enumerate(perm):
-        axes[j - 1] = i
-    out = psi.tensor().transpose(axes).reshape(-1)
-    return PureState(n, out)
-
-
-def inner(psi: PureState, phi: PureState) -> complex:
-    """<psi|phi>, conjugate-linear in the first argument."""
-    if psi.n != phi.n:
-        raise ValueError("qubit counts differ")
-    return complex(np.vdot(psi.amplitudes, phi.amplitudes))
-
-
-def norm(psi: PureState) -> float:
-    return psi.norm()
+    if not psi.amplitudes.any():
+        raise ValueError("the zero vector has no reduced density")
+    return _reduction(psi.amplitudes, k - 1)
 
 
 def fidelity(psi: PureState, phi: PureState) -> float:
     """|<psi|phi>|^2 / (||psi||^2 ||phi||^2)."""
-    ov = inner(psi, phi)
+    ov = np.vdot(psi.amplitudes, phi.amplitudes)
     return abs(ov) ** 2 / (psi.norm() ** 2 * phi.norm() ** 2)
 
 
 # ---------------------------------------------------------------------------
 # chains
 # ---------------------------------------------------------------------------
-
-def identity_chain(n: int, group_tag: str = "K") -> LocalOperatorChain:
-    return LocalOperatorChain(np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy(),
-                              group_tag)
-
 
 def chain_product(a: LocalOperatorChain, b: LocalOperatorChain,
                   group_tag: str | None = None) -> LocalOperatorChain:
@@ -309,12 +293,19 @@ def sample_haar_state(n: int, seed) -> PureState:
     return PureState(n, z / np.linalg.norm(z))
 
 
-def _haar_unitary2(rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+def _haar_u2(z: np.ndarray, special: bool) -> np.ndarray:
+    """Haar-random U(2) matrices, SU(2) if special, from real Gaussians z.
+
+    z has shape (..., 2, 2, 2); z[..., 0, :, :] + i z[..., 1, :, :] is a
+    Ginibre matrix, whose QR factor Q with the phases of diag(R) moved
+    into it is Haar distributed.
+    """
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / abs(d))[..., None, :]
+    if special:
+        q = q / np.sqrt(np.linalg.det(q))[..., None, None]
+    return q
 
 
 def sample_chain(n: int, group_tag: str, seed) -> LocalOperatorChain:
@@ -326,20 +317,17 @@ def sample_chain(n: int, group_tag: str, seed) -> LocalOperatorChain:
     if group_tag not in GROUP_TAGS:
         raise ValueError(f"unknown group tag {group_tag!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if group_tag in ("K", "Kt"):
+        return LocalOperatorChain(_haar_u2(rng.standard_normal((n, 2, 2, 2)), group_tag == "K"),
+                                  group_tag)
     factors = np.empty((n, 2, 2), dtype=complex)
     for k in range(n):
-        if group_tag in ("K", "Kt"):
-            u = _haar_unitary2(rng)
-            if group_tag == "K":
-                u = u / np.sqrt(np.linalg.det(u))
-            factors[k] = u
-        else:
-            while True:
-                z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-                det = np.linalg.det(z)
-                if abs(det) >= 1e-12 * np.linalg.norm(z) ** 2:
-                    break
-            if group_tag == "G":
-                z = z / np.sqrt(det)  # principal branch
-            factors[k] = z
+        while True:
+            z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+            det = np.linalg.det(z)
+            if abs(det) >= 1e-12 * np.linalg.norm(z) ** 2:
+                break
+        if group_tag == "G":
+            z = z / np.sqrt(det)  # principal branch
+        factors[k] = z
     return LocalOperatorChain(factors, group_tag)

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from localsym import make_ln, make_w
+from localsym import make_gabcd, make_ln, make_w
 from localsym.cli import main
 from localsym.io import read_state, write_state, write_chain
 from localsym import LocalOperatorChain
@@ -104,6 +104,14 @@ def test_scale_max_iter_exits_two(tmp_path, capsys):
     assert doc["payload"]["status"] == "max_iter"
 
 
+def test_scale_rejects_negative_max_iter(tmp_path, capsys):
+    state = tmp_path / "s.json"
+    main(["gen", "haar", "--n", "4", "--seed", "4", "--out", str(state)])
+    assert main(["scale", str(state), "--max-iter", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "max_iter" in err and "Traceback" not in err
+
+
 def test_stab_l5_witness(tmp_path, capsys):
     state = tmp_path / "l5.json"
     write_state(make_ln(5), state)
@@ -122,6 +130,15 @@ def test_stab_rejects_zero_restarts(tmp_path, capsys):
     assert main(["stab", str(state), "--restarts", "0"]) == 1
     err = capsys.readouterr().err
     assert "restart" in err and "Traceback" not in err
+
+
+def test_stab_rejects_zero_tol(tmp_path, capsys):
+    state = tmp_path / "gabcd.json"
+    write_state(make_gabcd(1, 2 + 1j, 3, 0.5), state)
+    assert main(["stab", str(state), "--tol", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance" in captured.err and "Traceback" not in captured.err
 
 
 def test_pmax_and_protocol(tmp_path, capsys):

@@ -89,6 +89,13 @@ def test_protocol_zero_trials():
     assert stats.trials == 0 and stats.empirical_p is None
 
 
+def test_protocol_rejects_negative_trials():
+    psi = make_ln(5)
+    plan = build_protocol(psi, diag_chain_l5())
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        simulate_protocol(plan, psi, trials=-1)
+
+
 def test_protocol_simulation_statistics():
     psi = make_ln(5)
     plan = build_protocol(psi, diag_chain_l5())

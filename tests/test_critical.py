@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localsym import (
     PureState,
@@ -12,6 +13,7 @@ from localsym import (
     make_w,
     sample_haar_state,
 )
+from localsym.critical import _flattening_factor
 
 
 def reconstruct(psi, result):
@@ -106,6 +108,38 @@ def test_scale_max_iter_status():
     result = scale_to_critical(sample_haar_state(4, 10), max_iter=0)
     assert result.status == "max_iter"
     assert result.representative is None
+
+
+def test_scale_rejects_negative_max_iter():
+    with pytest.raises(ValueError, match="max_iter"):
+        scale_to_critical(sample_haar_state(4, 10), max_iter=-1)
+
+
+def eigh_flattening_reference(rho):
+    """(rho / sqrt(det rho))**(-1/2) from the 2x2 eigensystem."""
+    w, v = np.linalg.eigh(rho)
+    return (v * (1.0 / np.sqrt(w / np.sqrt(w[0] * w[1])))) @ v.conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-6.0, 0.0), st.floats(-2.0, 2.0),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda x: np.hypot(np.hypot(x[0], x[1]), np.hypot(x[2], x[3])) > 1e-3))
+def test_flattening_factor_matches_eigh_reference(log_ratio, log_scale, vec):
+    # positive rho with eigenvalues lam_max * (10**log_ratio, 1) and a random eigenbasis
+    a, b = complex(vec[0], vec[1]), complex(vec[2], vec[3])
+    nrm = np.hypot(abs(a), abs(b))
+    v = np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / nrm
+    rho = 10.0**log_scale * (v * [10.0**log_ratio, 1.0]) @ v.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    # rounding rho moves the exact factor by about eps * lam_max / lam_min,
+    # for this formula and the eigh one alike
+    tol = 1e-12 + 1e-14 * 10.0**-log_ratio
+    g = _flattening_factor(rho)
+    assert abs(np.linalg.det(g) - 1.0) < tol
+    flat = g @ rho @ g
+    np.testing.assert_allclose(flat / np.trace(flat).real, np.eye(2) / 2, atol=tol)
+    np.testing.assert_allclose(g, eigh_flattening_reference(rho), atol=tol)
 
 
 def test_scale_requires_normalized():

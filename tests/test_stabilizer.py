@@ -176,6 +176,14 @@ def test_probe_requires_normalized():
         gtilde_triviality_probe(make_w(3, normalized=False))
 
 
+def test_searches_reject_nonpositive_tol():
+    psi = make_gabcd(1, 2 + 1j, 3, 0.5)
+    for search in (gtilde_triviality_probe, discrete_stabilizer_search,
+                   lambda psi, **kw: phase_stabilizer_search(psi, 1j, **kw)):
+        with pytest.raises(ValueError, match="tolerance"):
+            search(psi, restarts=1, tol=0.0)
+
+
 def test_probe_rejects_zero_restarts():
     with pytest.raises(ValueError, match="restart"):
         gtilde_triviality_probe(sample_haar_state(5, 0), restarts=0)
