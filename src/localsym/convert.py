@@ -29,6 +29,7 @@ from .states import (
     chain_product,
     fidelity,
     derive_rng,
+    _require_normalized,
 )
 from .critical import scale_to_critical
 from .stabilizer import _alternating_align
@@ -73,6 +74,8 @@ def _rescaled_connector(psi: PureState, chain: LocalOperatorChain) -> LocalOpera
     if np.min(np.abs(dets)) < _SINGULAR_FACTOR_TOL * np.max(sq_norms):
         raise ValueError("connector has a numerically singular factor")
     out_norm = apply_chain(chain, psi).norm()
+    if out_norm == 0.0:
+        raise ValueError("g psi underflows to zero; rescale the chain's factors")
     scale = (abs(chain.scalar) / out_norm) ** (1.0 / chain.n)
     return LocalOperatorChain(fac * scale, "Gt",
                               scalar=chain.scalar / abs(chain.scalar))
@@ -87,8 +90,7 @@ def pmax(psi: PureState, chain: LocalOperatorChain,
     caller's verdict on psi and only affects the reported optimality
     status, never the number.
     """
-    if abs(psi.norm() - 1.0) > 1e-9:
-        raise ValueError("state must be normalized")
+    _require_normalized(psi)
     g = _rescaled_connector(psi, chain)
     grams = np.transpose(g.factors.conj(), (0, 2, 1)) @ g.factors
     lam = np.array([np.linalg.eigvalsh(m)[-1] for m in grams])
@@ -132,8 +134,7 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
         raise ValueError("plan has no measurements; use build_protocol")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    if abs(psi.norm() - 1.0) > 1e-9:
-        raise ValueError("state must be normalized")
+    _require_normalized(psi)
     n = psi.n
     cond_p = np.empty(n)
     amp = psi.amplitudes
@@ -185,9 +186,10 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
     1e-8 of one; failure returns None and is inconclusive, not a proof
     of inequivalence.
     """
-    for s in (psi, phi):
-        if abs(s.norm() - 1.0) > 1e-9:
-            raise ValueError("states must be normalized")
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    _require_normalized(psi)
+    _require_normalized(phi)
     scale_psi = scale_to_critical(psi)
     scale_phi = scale_to_critical(phi)
     for res, name in ((scale_psi, "psi"), (scale_phi, "phi")):

@@ -29,12 +29,12 @@ from .states import (
     sample_chain,
     derive_rng,
     _reduction,
+    _require_normalized,
 )
 
 __all__ = ["CriticalityReport", "ScalingResult", "criticality_report",
            "scale_to_critical", "min_norm_probe"]
 
-_NORM_PRE_TOL = 1e-9
 _NULL_CONE_NORM_FRACTION = 1e-6
 _SINGULAR_RHO_EIG = 1e-14
 _HALF_EYE = 0.5 * np.eye(2)
@@ -68,8 +68,7 @@ def criticality_report(psi: PureState, tol: float = 1e-10) -> CriticalityReport:
     """Frobenius deviation of every single-qubit reduction from I/2."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if abs(psi.norm() - 1.0) > _NORM_PRE_TOL:
-        raise ValueError(f"state must be normalized, got norm {psi.norm()!r}")
+    _require_normalized(psi)
     _, devs = _reductions(psi.amplitudes, psi.n)
     mx = max(devs)
     return CriticalityReport(devs, mx, tol, mx <= tol)
@@ -108,8 +107,7 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
         raise ValueError("tolerance must be positive")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
-    if abs(psi.norm() - 1.0) > _NORM_PRE_TOL:
-        raise ValueError(f"state must be normalized, got norm {psi.norm()!r}")
+    _require_normalized(psi)
     n = psi.n
     initial_norm = psi.norm()
     work = psi.amplitudes

@@ -76,8 +76,7 @@ def genericity_report(n: int, samples: int, seed: int = 0,
         psi = sample_haar_state(n, derive_rng(seed, i, 0))
         records.append(_probe_record(i, psi, budget,
                                      int(derive_rng(seed, i, 1).integers(2**31))))
-    counted = [r for r in records if r.lie_dim is not None]
-    frac_lie = (sum(r.lie_dim == 0 for r in counted) / samples) if samples else 0.0
+    frac_lie = sum(r.lie_dim == 0 for r in records) / samples
     frac_triv = sum(r.gtilde_verdict == "trivial" for r in records) / samples
     return GenericityReport(n, samples, seed, budget, records, frac_lie, frac_triv)
 

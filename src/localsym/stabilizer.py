@@ -90,15 +90,9 @@ def _tangent_matrix(psi: PureState) -> np.ndarray:
                            for k in range(psi.n)]).T
 
 
-def lie_stabilizer_dim(psi: PureState, cutoff: float = DEFAULT_SVD_CUTOFF) -> StabilizerProbe:
-    """Complex dimension of the Lie-algebra stabilizer of psi.
-
-    Counts singular values of the tangent matrix at or below
-    ``cutoff * sigma_max``; the rank of the map and the reported
-    dimension always add up to 3n.
-    """
-    if abs(psi.norm() - 1.0) > 1e-9:
-        raise ValueError("state must be normalized")
+def _lie_probe(psi: PureState, is_critical: bool,
+               cutoff: float = DEFAULT_SVD_CUTOFF) -> StabilizerProbe:
+    """``lie_stabilizer_dim`` for a caller that knows whether psi is critical."""
     sv = np.linalg.svd(_tangent_matrix(psi), compute_uv=False)
     # pad to 3n entries: for 2**n < 3n the matrix is wide and the svd
     # reports only 2**n values, the rest of the kernel is structural
@@ -106,8 +100,17 @@ def lie_stabilizer_dim(psi: PureState, cutoff: float = DEFAULT_SVD_CUTOFF) -> St
     smax = sv[0]
     rank = int(np.sum(sv > cutoff * smax)) if smax > 0 else 0
     lie_dim = 3 * psi.n - rank
-    crit = criticality_report(psi, tol=_CRITICAL_PRE_TOL)
-    return StabilizerProbe(lie_dim, sv, cutoff, crit.is_critical and lie_dim == 0)
+    return StabilizerProbe(lie_dim, sv, cutoff, is_critical and lie_dim == 0)
+
+
+def lie_stabilizer_dim(psi: PureState, cutoff: float = DEFAULT_SVD_CUTOFF) -> StabilizerProbe:
+    """Complex dimension of the Lie-algebra stabilizer of psi.
+
+    Counts singular values of the tangent matrix at or below
+    ``cutoff * sigma_max``; the rank of the map and the reported
+    dimension always add up to 3n.
+    """
+    return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +140,15 @@ def _su2_step(m: np.ndarray) -> np.ndarray:
 
 
 def _u2_step(m: np.ndarray) -> np.ndarray:
-    """u in U(2) maximizing Re Tr(u m): V W^H for m = W S V^H."""
-    w, _, vh = np.linalg.svd(m)
-    return (w @ vh).conj().swapaxes(-1, -2)
+    """u in U(2) maximizing Re Tr(u m), for a stack of 2x2 matrices m.
+
+    The phase h = exp(-i arg(det m) / 2) makes det(h m) real and
+    non-negative, so the U(2) maximizer for h m lies in SU(2) and the
+    one for m is h times it: u = h _su2_step(h m).
+    """
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    h = np.exp(-0.5j * np.angle(det))[..., None, None]
+    return h * _su2_step(h * m)
 
 
 def _sweep_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray,
@@ -190,10 +199,9 @@ def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
     Start r of every phase t comes from derive_rng(seed, r).  Returns
     factors (len(phases), restarts, n, 2, 2) and residuals ||u psi - t
     target|| (len(phases), restarts).  Rows are independent, so cutting
-    the batch into chunks of ``_BATCH_BYTES`` changes no row.
+    the batch into chunks of ``_BATCH_BYTES`` changes no row.  Callers
+    check ``restarts >= 1`` at their entry.
     """
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
     phases = np.asarray(phases, dtype=complex)
     start = _haar_u2(np.stack([derive_rng(seed, r).standard_normal((psi.n, 2, 2, 2))
                                for r in range(restarts)]), special)
@@ -216,17 +224,29 @@ def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
                                    np.linalg.norm(a + b, axis=(-2, -1)))))
 
 
-def _require_search_preconditions(psi: PureState):
+def _require_budget(restarts: int, tol: float) -> None:
+    """No restart, or tol <= 0, keeps no hit whatever psi is: an empty non-search."""
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    if tol <= 0:
+        raise ValueError(f"search tolerance must be positive, got {tol}")
+
+
+def _checked_search(psi: PureState, t: complex, restarts: int, seed: int,
+                    tol: float) -> list[tuple[LocalOperatorChain, float]]:
+    """``_search`` at one phase, after the budget and the preconditions of C."""
+    _require_budget(restarts, tol)
     crit = criticality_report(psi, tol=_CRITICAL_PRE_TOL)
     if not crit.is_critical:
         raise ValueError(
             f"precondition failed: criticality (max deviation {crit.max_deviation:.2e})"
         )
-    probe = lie_stabilizer_dim(psi)
+    probe = _lie_probe(psi, is_critical=True)
     if probe.lie_dim != 0:
         raise ValueError(
             f"precondition failed: lie_dim (got {probe.lie_dim}, need 0)"
         )
+    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)]
 
 
 def _search(psi: PureState, phases, restarts: int, seed: int,
@@ -234,11 +254,8 @@ def _search(psi: PureState, phases, restarts: int, seed: int,
     """Verified hits (t, u, ||u psi - t psi||) below tol, in phase order.
 
     Hits near the identity are dropped for t = 1, near-duplicates are
-    merged per phase, and every kept chain is re-verified.  A tol <= 0
-    would keep no hit whatever the search finds, so it is rejected.
+    merged per phase, and every kept chain is re-verified.
     """
-    if tol <= 0:
-        raise ValueError(f"search tolerance must be positive, got {tol}")
     all_factors, all_residuals = _alternating_align(psi, psi, phases, restarts,
                                                     seed, special=True)
     hits: list[tuple[complex, LocalOperatorChain, float]] = []
@@ -269,8 +286,7 @@ def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0
     within the sign-aligned identity-exclusion radius are dropped;
     near-duplicates are merged.
     """
-    _require_search_preconditions(psi)
-    return [(chain, res) for _, chain, res in _search(psi, (1.0,), restarts, seed, tol)]
+    return _checked_search(psi, 1.0, restarts, seed, tol)
 
 
 def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
@@ -284,8 +300,7 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     """
     if abs(abs(t) - 1.0) > 1e-12:
         raise ValueError(f"phase must have unit modulus, got |t| = {abs(t)}")
-    _require_search_preconditions(psi)
-    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)]
+    return _checked_search(psi, t, restarts, seed, tol)
 
 
 def adjoint_closure_check(psi: PureState, chain: LocalOperatorChain) -> tuple[float, float]:
@@ -315,14 +330,14 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
     directly.  Witness findings are reported on the critical
     representative, whose stabilizer is conjugate to that of psi.
     """
-    if abs(psi.norm() - 1.0) > 1e-9:
-        raise ValueError("state must be normalized")
+    _require_budget(restarts, tol)
     scaling = scale_to_critical(psi, tol=1e-11)
     if scaling.status != "converged":
         return TrivialityVerdict("inconclusive", f"critical_scaling:{scaling.status}",
                                  None, None, restarts, tol)
     rep = scaling.representative
-    probe = lie_stabilizer_dim(rep)
+    # converged at 1e-11, so critical at the 1e-8 of the search preconditions
+    probe = _lie_probe(rep, is_critical=True)
 
     def verdict(outcome: str, gate: str | None) -> TrivialityVerdict:
         return TrivialityVerdict(outcome, gate, probe, rep, restarts, tol)

@@ -36,6 +36,7 @@ GROUP_TAGS = ("G", "K", "Gt", "Kt")
 
 _DET_TOL = 1e-12
 _UNITARY_TOL = 1e-12
+_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,13 @@ def apply_chain(chain: LocalOperatorChain, psi: PureState) -> PureState:
     for k, g in enumerate(chain.factors):
         amp = apply_factor(g, amp, k)
     return PureState(psi.n, chain.scalar * amp)
+
+
+def _require_normalized(psi: PureState) -> None:
+    """The unit-norm precondition shared by every entry point that needs it."""
+    nrm = psi.norm()
+    if abs(nrm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state must be normalized, got norm {nrm!r}")
 
 
 def _reduction(amp: np.ndarray, k: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from localsym import make_gabcd, make_ln, make_w
+from localsym import cli, make_gabcd, make_ghz, make_ln, make_w
 from localsym.cli import main
 from localsym.io import read_state, write_state, write_chain
 from localsym import LocalOperatorChain
@@ -133,12 +133,14 @@ def test_stab_rejects_zero_restarts(tmp_path, capsys):
 
 
 def test_stab_rejects_zero_tol(tmp_path, capsys):
-    state = tmp_path / "gabcd.json"
-    write_state(make_gabcd(1, 2 + 1j, 3, 0.5), state)
-    assert main(["stab", str(state), "--tol", "0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tolerance" in captured.err and "Traceback" not in captured.err
+    # GHZ4 stops at the Lie gate before any search: the budget is checked first
+    for psi in (make_gabcd(1, 2 + 1j, 3, 0.5), make_ghz(4)):
+        state = tmp_path / "psi.json"
+        write_state(psi, state)
+        assert main(["stab", str(state), "--tol", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err and "Traceback" not in captured.err
 
 
 def test_pmax_and_protocol(tmp_path, capsys):
@@ -191,3 +193,94 @@ def test_genericity_rejects_zero_restarts(capsys):
                  "--restarts", "0"]) == 1
     err = capsys.readouterr().err
     assert "restart" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,parameters", [
+    (["analyze", "l5.json"], {"state": "l5.json", "tol": 1e-10}),
+    (["analyze", "l5.json", "--tol", "1e-6"], {"state": "l5.json", "tol": 1e-6}),
+    (["scale", "l5.json"], {"state": "l5.json", "tol": 1e-10, "max_iter": 10000}),
+    (["scale", "l5.json", "--tol", "1e-9", "--max-iter", "5", "--rep-out", "rep.json"],
+     {"state": "l5.json", "tol": 1e-9, "max_iter": 5}),
+    (["stab", "l5.json", "--restarts", "4"],
+     {"state": "l5.json", "restarts": 4, "seed": 0, "tol": 1e-8}),
+    (["stab", "l5.json", "--seed", "3", "--tol", "1e-7", "--restarts", "8"],
+     {"state": "l5.json", "restarts": 8, "seed": 3, "tol": 1e-7}),
+    (["pmax", "l5.json", "c.json"],
+     {"state": "l5.json", "chain": "c.json", "stabilizer": "unknown"}),
+    (["pmax", "l5.json", "c.json", "--stabilizer", "trivial"],
+     {"state": "l5.json", "chain": "c.json", "stabilizer": "trivial"}),
+    (["protocol", "l5.json", "c.json", "--trials", "500", "--seed", "4"],
+     {"state": "l5.json", "chain": "c.json", "trials": 500, "seed": 4,
+      "stabilizer": "unknown"}),
+    (["protocol", "l5.json", "c.json", "--stabilizer", "nontrivial"],
+     {"state": "l5.json", "chain": "c.json", "trials": 10000, "seed": 0,
+      "stabilizer": "nontrivial"}),
+    (["genericity", "--n", "4", "--samples", "2", "--restarts", "4"],
+     {"n": 4, "samples": 2, "seed": 0, "restarts": 4, "tol": 1e-8}),
+    (["genericity", "--n", "3", "--samples", "2", "--seed", "5", "--tol", "1e-7",
+      "--restarts", "2"],
+     {"n": 3, "samples": 2, "seed": 5, "restarts": 2, "tol": 1e-7}),
+])
+def test_report_echoes_parameters(argv, parameters, tmp_path, monkeypatch, capsys):
+    """The echo is every parsed argument but the output paths, in declaration order."""
+    monkeypatch.chdir(tmp_path)
+    write_state(make_ln(5), "l5.json")
+    factors = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
+    factors[0] = np.diag([2.0, 0.5])
+    write_chain(LocalOperatorChain(factors, "G"), "c.json")
+    _, doc = run(argv, capsys)
+    check_envelope(doc)
+    assert doc["command"] == argv[0]
+    assert list(doc["parameters"].items()) == list(parameters.items())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "ghz", "--tol", "-1"],
+    ["analyze", "l5.json", "--seed", "1"],
+    ["scale", "l5.json", "--seed", "1"],
+    ["pmax", "l5.json", "c.json", "--tol", "5"],
+    ["pmax", "l5.json", "c.json", "--seed", "9"],
+    ["protocol", "l5.json", "c.json", "--tol", "5"],
+])
+def test_options_a_command_does_not_read_are_parse_errors(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["stab"], "required: state"),
+    (["gen", "haar", "--n", "x"], "argument --n"),
+    (["frobnicate"], "invalid choice"),
+])
+def test_parse_errors_exit_one(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "haar", "--n", "40"],
+                                  ["gen", "ghz", "--n", "0"],
+                                  ["genericity", "--n", "40"]])
+def test_qubit_bound_is_checked_before_allocation(argv, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a state was allocated")
+    monkeypatch.setattr(cli, "sample_haar_state", unreachable)
+    monkeypatch.setattr(cli, "genericity_report", unreachable)
+    monkeypatch.setitem(cli._NAMED_STATES, "ghz", unreachable)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"from 1 to {cli.MAX_QUBITS}" in err and "Traceback" not in err
+
+
+def test_qubit_bound_is_inclusive(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "sample_haar_state", lambda n, seed: seen.append(n) or make_ln(3))
+    assert main(["gen", "haar", "--n", str(cli.MAX_QUBITS)]) == 0
+    assert seen == [cli.MAX_QUBITS]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["stab", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out

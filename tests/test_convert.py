@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localsym import (
     LocalOperatorChain,
@@ -66,6 +67,14 @@ def test_pmax_unitary_chain_gives_one():
 def test_pmax_rejects_unnormalized_state():
     with pytest.raises(ValueError):
         pmax(make_ghz(3, normalized=False), sample_chain(3, "G", 0))
+
+
+def test_pmax_rejects_chain_that_underflows():
+    # invertible factors of 1e-150: det passes the relative singularity test,
+    # but their product with psi is 1e-750, which is zero in doubles
+    tiny = LocalOperatorChain(np.broadcast_to(1e-150 * np.eye(2), (5, 2, 2)), "Gt")
+    with pytest.raises(ValueError, match="underflows"):
+        pmax(make_ln(5), tiny)
 
 
 def test_singular_factor_rejected_at_chain_construction():
@@ -159,3 +168,18 @@ def test_find_connector_rejects_null_cone_input():
     from localsym import make_w
     with pytest.raises(ValueError):
         find_connector(make_w(3), make_ghz(3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 2**31 - 1), st.floats(-3.0, 3.0),
+       st.floats(-np.pi, np.pi))
+def test_pmax_invariant_under_chain_scaling(n, seed, log_modulus, phase):
+    """g and c g give the same normalized target, hence the same p_max."""
+    psi = sample_haar_state(n, seed)
+    g = sample_chain(n, "G", seed + 1)
+    c = 10.0 ** log_modulus * np.exp(1j * phase)
+    factors = g.factors.copy()
+    factors[0] *= c
+    p = pmax(psi, g).p_max
+    for scaled in (LocalOperatorChain(factors, "Gt"), LocalOperatorChain(g.factors, "G", scalar=c)):
+        assert abs(pmax(psi, scaled).p_max - p) <= 1e-10 * p

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from localsym import (
     LocalOperatorChain,
+    PureState,
     apply_chain,
     lie_stabilizer_dim,
     discrete_stabilizer_search,
@@ -14,11 +15,12 @@ from localsym import (
     make_ln,
     make_w,
     make_gabcd,
+    sample_chain,
     sample_haar_state,
 )
 
-from localsym import stabilizer
-from localsym.stabilizer import _DEDUP_RADIUS, _chain_distance, _su2_step
+from localsym import critical, stabilizer
+from localsym.stabilizer import _DEDUP_RADIUS, _chain_distance, _su2_step, _u2_step
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -189,6 +191,36 @@ def test_probe_rejects_zero_restarts():
         gtilde_triviality_probe(sample_haar_state(5, 0), restarts=0)
 
 
+@pytest.mark.parametrize("psi", [make_ghz(4), make_w(3), make_ln(5)],
+                         ids=["ghz4-lie-gate", "w3-null-cone", "l5-search"])
+@pytest.mark.parametrize("budget,message", [({"restarts": 0}, "restart"),
+                                            ({"tol": 0.0}, "tolerance")])
+def test_probe_rejects_empty_budget_at_entry(psi, budget, message):
+    # GHZ4 and W3 stop at a gate before any search, so only an entry check sees the budget
+    with pytest.raises(ValueError, match=message):
+        gtilde_triviality_probe(psi, **budget)
+
+
+def count_reductions(monkeypatch, call) -> int:
+    calls = []
+    kernel = critical._reduction
+    monkeypatch.setattr(critical, "_reduction", lambda *a: calls.append(1) or kernel(*a))
+    call()
+    return len(calls)
+
+
+def test_search_preconditions_compute_reductions_once(monkeypatch):
+    """One criticality check per search: n one-qubit densities, not 2n."""
+    gabcd, l5 = make_gabcd(1, 2 + 1j, 3, 0.5), make_ln(5)
+    assert count_reductions(monkeypatch, lambda: discrete_stabilizer_search(
+        gabcd, restarts=1)) == 4
+    assert count_reductions(monkeypatch, lambda: phase_stabilizer_search(
+        l5, 1j, restarts=1)) == 5
+    # L5 is critical, so scaling stops at its first check and nothing re-checks it
+    assert count_reductions(monkeypatch, lambda: gtilde_triviality_probe(
+        l5, restarts=1)) == 5
+
+
 def svd_su2_procrustes(m):
     """Reference: u in SU(2) maximizing Re Tr(u m) from the SVD of m."""
     u_l, s, vh = np.linalg.svd(m)
@@ -201,8 +233,16 @@ def svd_su2_procrustes(m):
     return (vh.conj().T * d) @ u_l.conj().T
 
 
+def svd_u2_procrustes(m):
+    """Reference: u in U(2) maximizing Re Tr(u m), V W^H for m = W S V^H."""
+    w, _, vh = np.linalg.svd(m)
+    return (w @ vh).conj().T
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+@example([0.0] * 8)  # m = 0
+@example([0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.5, 0.25])  # rank one: (1, i)^T (0.5, 0.25)
 def test_su2_step_matches_svd_reference(entries):
     m = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
     u = _su2_step(m)
@@ -210,6 +250,31 @@ def test_su2_step_matches_svd_reference(entries):
     assert abs(np.linalg.det(u) - 1.0) < 1e-12
     best = np.trace(svd_su2_procrustes(m) @ m).real
     assert abs(np.trace(u @ m).real - best) < 1e-12
+    # the U(2) step, as used by the connector alignment
+    u = _u2_step(m)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-12
+    best = np.trace(svd_u2_procrustes(m) @ m).real
+    assert abs(np.trace(u @ m).real - best) < 1e-12
+
+
+def probe_outcome(psi):
+    verdict = gtilde_triviality_probe(psi, seed=5)
+    return verdict.verdict, verdict.failed_gate, verdict.probe.lie_dim
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_probe_invariant_under_local_unitaries_and_permutations(n, seed):
+    """The stabilizer of u psi, and of psi with its qubits permuted, is
+    conjugate to that of psi, so the verdict cannot change."""
+    psi = sample_haar_state(n, seed)
+    rotated = apply_chain(sample_chain(n, "Kt", seed + 1), psi)
+    perm = np.random.default_rng(seed + 2).permutation(n)
+    permuted = PureState(n, psi.tensor().transpose(perm).reshape(-1))
+    outcome = probe_outcome(psi)
+    assert probe_outcome(rotated) == outcome
+    assert probe_outcome(permuted) == outcome
 
 
 @settings(max_examples=8, deadline=None)

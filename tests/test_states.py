@@ -15,6 +15,14 @@ from localsym import (
     sample_haar_state,
     sample_chain,
     chain_product,
+    criticality_report,
+    scale_to_critical,
+    lie_stabilizer_dim,
+    gtilde_triviality_probe,
+    pmax,
+    build_protocol,
+    simulate_protocol,
+    find_connector,
 )
 
 from conftest import SIGMA_X, kron_all
@@ -234,3 +242,23 @@ def test_chain_tag_validation():
     with pytest.raises(ValueError):
         LocalOperatorChain(bad, "K")
     LocalOperatorChain(bad, "Gt")  # invertible, fine
+
+
+_UNIT = make_ln(5)
+_CHAIN = sample_chain(5, "G", 0)
+_ENTRY_POINTS = {
+    "criticality_report": criticality_report,
+    "scale_to_critical": scale_to_critical,
+    "lie_stabilizer_dim": lie_stabilizer_dim,
+    "gtilde_triviality_probe": gtilde_triviality_probe,
+    "pmax": lambda s: pmax(s, _CHAIN),
+    "simulate_protocol": lambda s: simulate_protocol(build_protocol(_UNIT, _CHAIN), s, 10),
+    "find_connector psi": lambda s: find_connector(s, _UNIT),
+    "find_connector phi": lambda s: find_connector(_UNIT, s),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+def test_entry_points_reject_unnormalized_state(entry):
+    with pytest.raises(ValueError, match="state must be normalized, got norm"):
+        entry(PureState(5, 2 * _UNIT.amplitudes))
