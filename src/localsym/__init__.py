@@ -14,8 +14,6 @@ from .states import (
     fidelity,
     sample_haar_state,
     sample_chain,
-    chain_product,
-    chain_adjoint,
 )
 from .invariants import SlipValue, f2, f4, check_invariance
 from .critical import (

@@ -10,6 +10,10 @@ two-outcome measurement {g_j'/sqrt(lambda_j), sqrt(I - g_j'^dag
 g_j'/lambda_j)} and the conversion succeeds when everyone reports
 outcome 0.
 
+A chain is one (n, 2, 2) stack and every per-party quantity (lambda_j,
+the measurements, the connector's factors) is one batched 2x2 operation
+on it; only the protocol's state trajectory runs party by party.
+
 For a state with trivial product-symmetry group the value is the exact
 LOCC/SEP optimum; otherwise the connector is not unique and the same
 number is only a lower bound.
@@ -26,13 +30,13 @@ from .states import (
     LocalOperatorChain,
     apply_chain,
     apply_factor,
-    chain_product,
     fidelity,
     derive_rng,
     _require_normalized,
+    _unitary_deviation,
 )
 from .critical import scale_to_critical
-from .stabilizer import _alternating_align
+from .stabilizer import _REPRESENTATIVE_TOL, _alternating_align
 
 __all__ = [
     "ConversionPlan",
@@ -45,6 +49,7 @@ __all__ = [
 ]
 
 _SINGULAR_FACTOR_TOL = 1e-12
+_TRIAL_BLOCK = 1 << 16  # protocol trials per draw: 8 n _TRIAL_BLOCK bytes at most
 
 
 @dataclass
@@ -93,7 +98,7 @@ def pmax(psi: PureState, chain: LocalOperatorChain,
     _require_normalized(psi)
     g = _rescaled_connector(psi, chain)
     grams = np.transpose(g.factors.conj(), (0, 2, 1)) @ g.factors
-    lam = np.array([np.linalg.eigvalsh(m)[-1] for m in grams])
+    lam = np.linalg.eigvalsh(grams)[:, -1]
     p = float(1.0 / np.prod(lam))
     if trivial_stabilizer is None:
         status = "unknown"
@@ -107,16 +112,12 @@ def build_protocol(psi: PureState, chain: LocalOperatorChain,
                    trivial_stabilizer: bool | None = None) -> ConversionPlan:
     """Conversion plan with the per-party two-outcome measurements filled in."""
     plan = pmax(psi, chain, trivial_stabilizer)
-    measurements = []
-    for g_j, lam_j in zip(plan.connector.factors, plan.per_party_lambda):
-        if lam_j <= 0:
-            raise RuntimeError("nonpositive lambda for an invertible factor")
-        n0 = g_j / np.sqrt(lam_j)
-        defect = np.eye(2) - n0.conj().T @ n0
-        w, v = np.linalg.eigh(0.5 * (defect + defect.conj().T))
-        n1 = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        measurements.append((n0, n1))
-    plan.measurements = measurements
+    # lambda_j > 0: the top eigenvalue of g_j^dag g_j for an invertible g_j
+    n0 = plan.connector.factors / np.sqrt(plan.per_party_lambda)[:, None, None]
+    defect = np.eye(2) - n0.conj().swapaxes(-1, -2) @ n0
+    w, v = np.linalg.eigh(0.5 * (defect + defect.conj().swapaxes(-1, -2)))
+    n1 = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    plan.measurements = list(zip(n0, n1))
     return plan
 
 
@@ -128,7 +129,8 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
     Because a single outcome-1 result aborts the trial, the all-zero
     branch follows one deterministic state trajectory, so the per-party
     conditional success probabilities are computed once and the trials
-    reduce to seeded Bernoulli draws.
+    reduce to seeded Bernoulli draws, taken in blocks of ``_TRIAL_BLOCK``
+    trials (the same random stream as one draw, in bounded memory).
     """
     if plan.measurements is None:
         raise ValueError("plan has no measurements; use build_protocol")
@@ -149,8 +151,10 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
     if trials == 0:
         return ProtocolRunStats(0, 0, None, None, seed)
     rng = derive_rng(seed)
-    draws = rng.random((trials, n)) < cond_p[None, :]
-    successes = int(np.sum(np.all(draws, axis=1)))
+    successes = 0
+    for done in range(0, trials, _TRIAL_BLOCK):
+        draws = rng.random((min(_TRIAL_BLOCK, trials - done), n)) < cond_p[None, :]
+        successes += int(np.sum(np.all(draws, axis=1)))
     empirical = successes / trials
     return ProtocolRunStats(trials, successes, empirical,
                             success_fid if successes else None, seed)
@@ -165,13 +169,11 @@ def deterministic_convertible(psi: PureState, chain: LocalOperatorChain
     must then be factor-wise unitary, equivalently p_max = 1.
     """
     plan = pmax(psi, chain)
-    devs = [np.linalg.norm(g.conj().T @ g - np.eye(2))
-            for g in plan.connector.factors]
-    unitary = max(devs) <= 1e-10
-    if unitary:
+    dev = _unitary_deviation(plan.connector.factors)
+    if dev <= 1e-10:
         return True, "connector is factor-wise unitary (local-unitary conversion)"
     return False, (
-        f"connector is not local-unitary (max factor deviation {max(devs):.2e}, "
+        f"connector is not local-unitary (max factor deviation {dev:.2e}, "
         f"p_max = {plan.p_max:.6g})"
     )
 
@@ -180,36 +182,29 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
                    seed: int = 0) -> LocalOperatorChain | None:
     """Search for an invertible chain g with g psi = phi (up to phase).
 
-    Both states are driven to their critical representatives; a
-    local-unitary alignment between the representatives is then sought
-    numerically.  Success is certified by fidelity(g psi, phi) within
-    1e-8 of one; failure returns None and is inconclusive, not a proof
-    of inequivalence.
+    Both states are scaled to their critical representatives (tol 1e-11,
+    as in the probe); a U(2)^n chain u aligning them is sought
+    numerically and g = (s_psi / s_phi) B^-1 u A is built from the
+    scaling chains A, B and their scalars.  Success is certified by
+    fidelity(g psi, phi) within 1e-8 of one; failure returns None and is
+    inconclusive, not a proof of inequivalence.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     _require_normalized(psi)
     _require_normalized(phi)
-    scale_psi = scale_to_critical(psi)
-    scale_phi = scale_to_critical(phi)
+    scale_psi = scale_to_critical(psi, tol=_REPRESENTATIVE_TOL)
+    scale_phi = scale_to_critical(phi, tol=_REPRESENTATIVE_TOL)
     for res, name in ((scale_psi, "psi"), (scale_phi, "phi")):
         if res.status != "converged":
             raise ValueError(f"no critical representative for {name} ({res.status})")
     factors, residuals = _alternating_align(
         scale_psi.representative, scale_phi.representative, (1.0,), restarts,
         seed, special=False)
-    fac = factors[0, np.argmin(residuals[0])]
-    u = LocalOperatorChain(fac / np.sqrt(np.linalg.det(fac))[:, None, None], "K")
-    if fidelity(apply_chain(u, scale_psi.representative),
-                scale_phi.representative) < 1.0 - 1e-8:
-        return None
-    # g = B^-1 u A with A, B the accumulated scaling chains (plus scalars)
-    b_inv = LocalOperatorChain(np.linalg.inv(scale_phi.accumulated_chain.factors),
-                               "G", scalar=1.0 / scale_phi.scalar)
-    a = LocalOperatorChain(scale_psi.accumulated_chain.factors, "G",
-                           scalar=scale_psi.scalar)
-    g = chain_product(b_inv, chain_product(u, a))
-    g = _rescaled_connector(psi, g)
+    u = factors[0, np.argmin(residuals[0])]
+    a, b = scale_psi.accumulated_chain.factors, scale_phi.accumulated_chain.factors
+    g = _rescaled_connector(psi, LocalOperatorChain(
+        np.linalg.solve(b, u @ a), "Gt", scalar=scale_psi.scalar / scale_phi.scalar))
     if fidelity(apply_chain(g, psi), phi) < 1.0 - 1e-8:
         return None
     return g

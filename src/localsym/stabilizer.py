@@ -28,8 +28,8 @@ from .states import (
     LocalOperatorChain,
     apply_chain,
     apply_factor,
-    chain_adjoint,
     derive_rng,
+    _ginibre,
     _haar_u2,
 )
 from .critical import criticality_report, scale_to_critical
@@ -53,10 +53,11 @@ SL2_BASIS = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-DEFAULT_SVD_CUTOFF = 1e-8
+_SVD_CUTOFF = 1e-8
 _IDENTITY_EXCLUSION_RADIUS = 1e-3
 _DEDUP_RADIUS = 1e-6
 _CRITICAL_PRE_TOL = 1e-8
+_REPRESENTATIVE_TOL = 1e-11  # scaling tol of the probe's and find_connector's representatives
 
 
 @dataclass
@@ -65,7 +66,6 @@ class StabilizerProbe:
 
     lie_dim: int
     singular_values: np.ndarray  # 3n values, descending
-    cutoff: float
     in_c: bool  # critical and zero-dimensional Lie stabilizer
     discrete_candidates: list[tuple[LocalOperatorChain, float]] = field(default_factory=list)
     gtilde_phase_hits: list[tuple[complex, LocalOperatorChain, float]] = field(default_factory=list)
@@ -90,27 +90,26 @@ def _tangent_matrix(psi: PureState) -> np.ndarray:
                            for k in range(psi.n)]).T
 
 
-def _lie_probe(psi: PureState, is_critical: bool,
-               cutoff: float = DEFAULT_SVD_CUTOFF) -> StabilizerProbe:
+def _lie_probe(psi: PureState, is_critical: bool) -> StabilizerProbe:
     """``lie_stabilizer_dim`` for a caller that knows whether psi is critical."""
     sv = np.linalg.svd(_tangent_matrix(psi), compute_uv=False)
     # pad to 3n entries: for 2**n < 3n the matrix is wide and the svd
     # reports only 2**n values, the rest of the kernel is structural
     sv = np.concatenate([sv, np.zeros(max(0, 3 * psi.n - sv.size))])
     smax = sv[0]
-    rank = int(np.sum(sv > cutoff * smax)) if smax > 0 else 0
+    rank = int(np.sum(sv > _SVD_CUTOFF * smax)) if smax > 0 else 0
     lie_dim = 3 * psi.n - rank
-    return StabilizerProbe(lie_dim, sv, cutoff, is_critical and lie_dim == 0)
+    return StabilizerProbe(lie_dim, sv, is_critical and lie_dim == 0)
 
 
-def lie_stabilizer_dim(psi: PureState, cutoff: float = DEFAULT_SVD_CUTOFF) -> StabilizerProbe:
+def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
     """Complex dimension of the Lie-algebra stabilizer of psi.
 
     Counts singular values of the tangent matrix at or below
-    ``cutoff * sigma_max``; the rank of the map and the reported
-    dimension always add up to 3n.
+    1e-8 sigma_max; the rank of the map and the reported dimension
+    always add up to 3n.
     """
-    return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical, cutoff)
+    return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
     check ``restarts >= 1`` at their entry.
     """
     phases = np.asarray(phases, dtype=complex)
-    start = _haar_u2(np.stack([derive_rng(seed, r).standard_normal((psi.n, 2, 2, 2))
+    start = _haar_u2(np.stack([_ginibre(derive_rng(seed, r), (psi.n,))
                                for r in range(restarts)]), special)
     factors = np.tile(start, (phases.size, 1, 1, 1))
     row_phases = np.repeat(phases, restarts)
@@ -230,23 +229,6 @@ def _require_budget(restarts: int, tol: float) -> None:
         raise ValueError(f"need at least one restart, got {restarts}")
     if tol <= 0:
         raise ValueError(f"search tolerance must be positive, got {tol}")
-
-
-def _checked_search(psi: PureState, t: complex, restarts: int, seed: int,
-                    tol: float) -> list[tuple[LocalOperatorChain, float]]:
-    """``_search`` at one phase, after the budget and the preconditions of C."""
-    _require_budget(restarts, tol)
-    crit = criticality_report(psi, tol=_CRITICAL_PRE_TOL)
-    if not crit.is_critical:
-        raise ValueError(
-            f"precondition failed: criticality (max deviation {crit.max_deviation:.2e})"
-        )
-    probe = _lie_probe(psi, is_critical=True)
-    if probe.lie_dim != 0:
-        raise ValueError(
-            f"precondition failed: lie_dim (got {probe.lie_dim}, need 0)"
-        )
-    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)]
 
 
 def _search(psi: PureState, phases, restarts: int, seed: int,
@@ -286,7 +268,7 @@ def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0
     within the sign-aligned identity-exclusion radius are dropped;
     near-duplicates are merged.
     """
-    return _checked_search(psi, 1.0, restarts, seed, tol)
+    return phase_stabilizer_search(psi, 1.0, restarts, seed, tol)
 
 
 def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
@@ -296,11 +278,20 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
 
     A hit exhibits a product symmetry of psi up to the global phase t,
     i.e. a GL-chain symmetry after relocating the scalar into one tensor
-    factor.  With t = 1 this reduces to the plain discrete search.
+    factor.  With t = 1 this is the discrete search, under the same
+    preconditions (a ValueError names the one that fails).
     """
     if abs(abs(t) - 1.0) > 1e-12:
         raise ValueError(f"phase must have unit modulus, got |t| = {abs(t)}")
-    return _checked_search(psi, t, restarts, seed, tol)
+    _require_budget(restarts, tol)
+    crit = criticality_report(psi, tol=_CRITICAL_PRE_TOL)
+    if not crit.is_critical:
+        raise ValueError("precondition failed: criticality "
+                         f"(max deviation {crit.max_deviation:.2e})")
+    lie_dim = _lie_probe(psi, is_critical=True).lie_dim
+    if lie_dim != 0:
+        raise ValueError(f"precondition failed: lie_dim (got {lie_dim}, need 0)")
+    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)]
 
 
 def adjoint_closure_check(psi: PureState, chain: LocalOperatorChain) -> tuple[float, float]:
@@ -313,7 +304,9 @@ def adjoint_closure_check(psi: PureState, chain: LocalOperatorChain) -> tuple[fl
     if not crit.is_critical:
         raise ValueError("adjoint closure check needs a critical state")
     fwd = np.linalg.norm(apply_chain(chain, psi).amplitudes - psi.amplitudes)
-    bwd = np.linalg.norm(apply_chain(chain_adjoint(chain), psi).amplitudes - psi.amplitudes)
+    adj = LocalOperatorChain(chain.factors.conj().swapaxes(-1, -2), chain.group_tag,
+                             np.conj(chain.scalar))
+    bwd = np.linalg.norm(apply_chain(adj, psi).amplitudes - psi.amplitudes)
     return float(fwd), float(bwd)
 
 
@@ -331,7 +324,7 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
     representative, whose stabilizer is conjugate to that of psi.
     """
     _require_budget(restarts, tol)
-    scaling = scale_to_critical(psi, tol=1e-11)
+    scaling = scale_to_critical(psi, tol=_REPRESENTATIVE_TOL)
     if scaling.status != "converged":
         return TrivialityVerdict("inconclusive", f"critical_scaling:{scaling.status}",
                                  None, None, restarts, tol)

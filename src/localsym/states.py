@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * A state on n qubits is a length-2**n complex vector. Basis index
   ``i = sum_k b_k 2**(n-k)``, i.e. qubit 1 is the most significant bit.
 * Qubit indices in the public API are 1-based (1..n).
-* A local operator chain g = g_1 (x) ... (x) g_n is stored as n explicit
-  2x2 matrices; the full 2**n x 2**n matrix is never materialized.
+* A local operator chain g = g_1 (x) ... (x) g_n is one (n, 2, 2) stack
+  of 2x2 matrices; the full 2**n x 2**n matrix is never materialized.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "fidelity",
     "sample_haar_state",
     "sample_chain",
-    "chain_product",
-    "chain_adjoint",
     "derive_rng",
 ]
 
@@ -37,6 +35,12 @@ GROUP_TAGS = ("G", "K", "Gt", "Kt")
 _DET_TOL = 1e-12
 _UNITARY_TOL = 1e-12
 _NORM_TOL = 1e-9
+
+
+def _unitary_deviation(factors: np.ndarray) -> float:
+    """max over a (n, 2, 2) stack of the Frobenius norm of g^dag g - I."""
+    gram = factors.conj().swapaxes(-1, -2) @ factors
+    return float(np.max(np.linalg.norm(gram - np.eye(2), axis=(-2, -1))))
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,7 @@ class LocalOperatorChain:
             if np.min(np.abs(dets)) < _DET_TOL * np.max(sq_norms):
                 raise ValueError("tag Gt requires invertible factors")
         if self.group_tag in ("K", "Kt"):
-            eye = np.eye(2)
-            dev = max(
-                np.linalg.norm(f.conj().T @ f - eye) for f in fac
-            )
-            if dev > _UNITARY_TOL:
+            if _unitary_deviation(fac) > _UNITARY_TOL:
                 raise ValueError(f"tag {self.group_tag} requires unitary factors")
             if self.group_tag == "K" and np.max(np.abs(dets - 1.0)) > _DET_TOL:
                 raise ValueError("tag K requires unit-determinant factors")
@@ -262,28 +262,6 @@ def fidelity(psi: PureState, phi: PureState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# chains
-# ---------------------------------------------------------------------------
-
-def chain_product(a: LocalOperatorChain, b: LocalOperatorChain,
-                  group_tag: str | None = None) -> LocalOperatorChain:
-    """Factor-wise matrix product a_j b_j (a applied after b)."""
-    if a.n != b.n:
-        raise ValueError("chain lengths differ")
-    if group_tag is None:
-        group_tag = a.group_tag if a.group_tag == b.group_tag else "Gt"
-    return LocalOperatorChain(a.factors @ b.factors, group_tag,
-                              scalar=a.scalar * b.scalar)
-
-
-def chain_adjoint(chain: LocalOperatorChain) -> LocalOperatorChain:
-    """Factor-wise conjugate transpose."""
-    fac = np.conj(np.transpose(chain.factors, (0, 2, 1)))
-    tag = chain.group_tag
-    return LocalOperatorChain(fac, tag, scalar=np.conj(chain.scalar))
-
-
-# ---------------------------------------------------------------------------
 # seeded samplers
 # ---------------------------------------------------------------------------
 
@@ -296,19 +274,23 @@ def sample_haar_state(n: int, seed) -> PureState:
     """Haar-random n-qubit state: normalized complex Gaussian vector."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, z / np.linalg.norm(z))
 
 
-def _haar_u2(z: np.ndarray, special: bool) -> np.ndarray:
-    """Haar-random U(2) matrices, SU(2) if special, from real Gaussians z.
+def _ginibre(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Complex Gaussian 2x2 matrices of batch shape ``shape``, real parts
+    drawn before imaginary ones per matrix: a stack of n takes the same
+    random stream as n draws of one."""
+    z = rng.standard_normal(shape + (2, 2, 2))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
-    z has shape (..., 2, 2, 2); z[..., 0, :, :] + i z[..., 1, :, :] is a
-    Ginibre matrix, whose QR factor Q with the phases of diag(R) moved
-    into it is Haar distributed.
-    """
-    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+
+def _haar_u2(z: np.ndarray, special: bool) -> np.ndarray:
+    """Haar-random U(2) matrices, SU(2) if special, from Ginibre matrices
+    z: the QR factor Q with the phases of diag(R) moved into it."""
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / abs(d))[..., None, :]
     if special:
@@ -317,25 +299,23 @@ def _haar_u2(z: np.ndarray, special: bool) -> np.ndarray:
 
 
 def sample_chain(n: int, group_tag: str, seed) -> LocalOperatorChain:
-    """Random chain: Ginibre/det-root-normalized factors for G, Haar for K.
+    """Random chain: Haar factors for K/Kt, Ginibre ones for G/Gt.
 
-    A factor that comes out numerically singular is resampled, so the
-    returned chain always passes the tag's invariants.
+    The n factors are one Ginibre draw, for G divided by the principal
+    root of their determinant.  Numerically singular G/Gt factors are
+    redrawn after the stack until regular, so the chain always passes
+    the tag's invariants.
     """
     if group_tag not in GROUP_TAGS:
         raise ValueError(f"unknown group tag {group_tag!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    z = _ginibre(rng, (n,))
     if group_tag in ("K", "Kt"):
-        return LocalOperatorChain(_haar_u2(rng.standard_normal((n, 2, 2, 2)), group_tag == "K"),
-                                  group_tag)
-    factors = np.empty((n, 2, 2), dtype=complex)
-    for k in range(n):
-        while True:
-            z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-            det = np.linalg.det(z)
-            if abs(det) >= 1e-12 * np.linalg.norm(z) ** 2:
-                break
-        if group_tag == "G":
-            z = z / np.sqrt(det)  # principal branch
-        factors[k] = z
-    return LocalOperatorChain(factors, group_tag)
+        return LocalOperatorChain(_haar_u2(z, group_tag == "K"), group_tag)
+    z = z / np.sqrt(2)
+    while (bad := np.flatnonzero(abs(np.linalg.det(z))
+                                 < 1e-12 * np.linalg.norm(z, axis=(-2, -1)) ** 2)).size:
+        z[bad] = _ginibre(rng, bad.shape) / np.sqrt(2)
+    if group_tag == "G":
+        z = z / np.sqrt(np.linalg.det(z))[:, None, None]  # principal branch
+    return LocalOperatorChain(z, group_tag)

@@ -15,7 +15,6 @@ from localsym import (
     apply_chain,
     adjoint_closure_check,
     build_protocol,
-    chain_adjoint,
     criticality_report,
     discrete_stabilizer_search,
     f2,

@@ -18,6 +18,8 @@ from localsym import (
     sample_haar_state,
 )
 
+from localsym import convert
+
 from conftest import kron_all
 
 
@@ -40,6 +42,24 @@ def test_pmax_dense_eigen_oracle():
     dense = kron_all(plan.connector.factors)
     lam_dense = np.linalg.eigvalsh(dense.conj().T @ dense)[-1]
     assert abs(np.prod(plan.per_party_lambda) - lam_dense) < 1e-10 * lam_dense
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lambda_and_measurements_match_per_factor_loops(n):
+    """Batched lambda_j, N0 and N1 equal the per-factor eigvalsh/eigh loops bitwise."""
+    psi = sample_haar_state(n, 50 + n)
+    plan = build_protocol(psi, sample_chain(n, "G", 60 + n))
+    g = plan.connector.factors
+    grams = np.transpose(g.conj(), (0, 2, 1)) @ g
+    lam = np.array([np.linalg.eigvalsh(m)[-1] for m in grams])
+    assert plan.per_party_lambda.tobytes() == lam.tobytes()
+    for g_j, lam_j, (n0, n1) in zip(g, lam, plan.measurements):
+        n0_ref = g_j / np.sqrt(lam_j)
+        defect = np.eye(2) - n0_ref.conj().T @ n0_ref
+        w, v = np.linalg.eigh(0.5 * (defect + defect.conj().T))
+        n1_ref = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        assert n0.tobytes() == n0_ref.tobytes()
+        assert n1.tobytes() == n1_ref.tobytes()
 
 
 def test_pmax_scalar_invariance():
@@ -123,6 +143,15 @@ def test_simulation_deterministic():
     assert a.successes == b.successes
 
 
+def test_simulation_in_blocks_keeps_the_random_stream(monkeypatch):
+    psi = make_ln(5)
+    plan = build_protocol(psi, diag_chain_l5())
+    whole = {t: simulate_protocol(plan, psi, t, seed=6) for t in (0, 1, 50, 1000)}
+    monkeypatch.setattr(convert, "_TRIAL_BLOCK", 7)
+    for trials, stats in whole.items():
+        assert simulate_protocol(plan, psi, trials, seed=6) == stats
+
+
 def test_simulation_requires_measurements():
     psi = make_ln(5)
     plan = pmax(psi, diag_chain_l5())
@@ -149,6 +178,18 @@ def test_find_connector_roundtrip():
     out = apply_chain(g, psi)
     assert fidelity(out, phi) > 1 - 1e-8
     assert abs(out.norm() - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("s", range(10))
+def test_connector_pmax_matches_dense_oracle(s):
+    psi = sample_haar_state(5, s)
+    g = sample_chain(5, "G", 100 + s)
+    connector = find_connector(psi, apply_chain(g, psi).normalized())
+    assert connector is not None
+    dense = kron_all(g.factors)
+    oracle = (np.linalg.norm(dense @ psi.amplitudes) ** 2
+              / np.linalg.eigvalsh(dense.conj().T @ dense)[-1])
+    assert abs(pmax(psi, connector).p_max - oracle) <= 1e-10 * oracle
 
 
 def test_find_connector_rejects_zero_restarts():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localsym import (
     PureState,
@@ -101,16 +102,24 @@ def test_f4_homogeneity():
     assert abs(f4(scaled).value - (1.0 + 0.5j) ** 4 * f4(psi).value) < 1e-10
 
 
-def test_f2_invariance_under_unit_det_chain():
-    psi = sample_haar_state(6, 32)
-    g = sample_chain(6, "G", 33)
-    assert abs(f2(apply_chain(g, psi)).value - f2(psi).value) < 1e-9
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.integers(0, 2**31 - 1))
+def test_f2_invariance_under_unit_det_chain(n, seed):
+    """f2 is constant on the SL(2,C)^n orbit of a Haar state (even n)."""
+    psi = sample_haar_state(n, seed)
+    g = sample_chain(n, "G", seed + 1)
+    ref = f2(psi).value
+    assert abs(f2(apply_chain(g, psi)).value - ref) <= 1e-9 * abs(ref)
 
 
-def test_f4_invariance_under_unit_det_chain():
-    psi = sample_haar_state(5, 34)
-    g = sample_chain(5, "G", 35)
-    assert abs(f4(apply_chain(g, psi)).value - f4(psi).value) < 1e-9
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(0, 2**31 - 1))
+def test_f4_invariance_under_unit_det_chain(n, seed):
+    """f4 is constant on the SL(2,C)^n orbit of a Haar state (odd n >= 3)."""
+    psi = sample_haar_state(n, seed)
+    g = sample_chain(n, "G", seed + 1)
+    ref = f4(psi).value
+    assert abs(f4(apply_chain(g, psi)).value - ref) <= 1e-9 * abs(ref)
 
 
 def test_f2_transforms_with_det_of_gl_chain():

@@ -14,7 +14,6 @@ from localsym import (
     fidelity,
     sample_haar_state,
     sample_chain,
-    chain_product,
     criticality_report,
     scale_to_critical,
     lie_stabilizer_dim,
@@ -154,16 +153,6 @@ def test_apply_chain_length_mismatch():
         apply_chain(LocalOperatorChain(np.tile(np.eye(2), (3, 1, 1)), "K"), make_ghz(4))
 
 
-def test_chain_composition():
-    psi = sample_haar_state(4, 3)
-    a = sample_chain(4, "G", 4)
-    b = sample_chain(4, "G", 5)
-    lhs = apply_chain(a, apply_chain(b, psi))
-    rhs = apply_chain(chain_product(a, b), psi)
-    scale = np.linalg.norm(lhs.amplitudes)
-    assert np.linalg.norm(lhs.amplitudes - rhs.amplitudes) < 1e-10 * scale
-
-
 def test_unitary_chain_preserves_norm():
     psi = sample_haar_state(5, 6)
     u = sample_chain(5, "K", 7)
@@ -233,6 +222,41 @@ def test_sample_chain_deterministic():
     a = sample_chain(3, "G", 5)
     b = sample_chain(3, "G", 5)
     np.testing.assert_array_equal(a.factors, b.factors)
+
+
+def per_factor_sample_chain(n, group_tag, seed):
+    """Reference: the G/Gt sampler as a loop drawing one 2x2 factor at a time."""
+    rng = np.random.default_rng(seed)
+    factors = np.empty((n, 2, 2), dtype=complex)
+    for k in range(n):
+        while True:
+            z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+            det = np.linalg.det(z)
+            if abs(det) >= 1e-12 * np.linalg.norm(z) ** 2:
+                break
+        factors[k] = z / np.sqrt(det) if group_tag == "G" else z
+    return factors
+
+
+@pytest.mark.parametrize("group_tag", ["G", "Gt"])
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_sample_chain_matches_per_factor_loop(n, group_tag):
+    for seed in range(20):
+        expect = per_factor_sample_chain(n, group_tag, seed)
+        assert sample_chain(n, group_tag, seed).factors.tobytes() == expect.tobytes()
+
+
+def test_sample_chain_redraws_singular_factors(monkeypatch):
+    """Singular factors of the stack are redrawn until regular; the others stay."""
+    from localsym import states
+    ones, x, d = np.ones((2, 2)), np.array([[0, 1], [1, 0]]), np.diag([1.0, 2.0])
+    draws = iter([np.array([np.eye(2), ones, d, ones]), np.array([ones, x]),
+                  np.array([d])])
+    monkeypatch.setattr(states, "_ginibre",
+                        lambda rng, shape: np.sqrt(2) * next(draws).astype(complex))
+    chain = sample_chain(4, "Gt", 0)
+    np.testing.assert_allclose(chain.factors, [np.eye(2), d, d, x], atol=1e-15)
+    assert next(draws, None) is None
 
 
 def test_chain_tag_validation():
