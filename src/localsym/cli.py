@@ -151,7 +151,7 @@ def cmd_stab(args) -> int:
     probe = verdict.probe
     if probe is not None:
         payload.update({
-            **_fields(probe, "lie_dim", "singular_values", "in_c"),
+            **_fields(probe, "lie_dim", "singular_values", "in_c", "start_path"),
             "discrete_candidates": [
                 {"chain": chain_to_dict(chain), "residual": res}
                 for chain, res in probe.discrete_candidates

@@ -183,8 +183,8 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
     """Search for an invertible chain g with g psi = phi (up to phase).
 
     Both states are scaled to their critical representatives (tol 1e-11,
-    as in the probe); a U(2)^n chain u aligning them is sought
-    numerically and g = (s_psi / s_phi) B^-1 u A is built from the
+    as in the probe), a U(2)^n chain u aligns them from the starts of the
+    symmetry search, and g = (s_psi / s_phi) B^-1 u A is built from the
     scaling chains A, B and their scalars.  Success is certified by
     fidelity(g psi, phi) within 1e-8 of one; failure returns None and is
     inconclusive, not a proof of inequivalence.

@@ -2,19 +2,18 @@
 
 The continuous part measures the dimension of the Lie-algebra
 stabilizer {X in Lie(G) : X|psi> = 0} from the singular values of the
-tangent map X -> X|psi>.  The discrete part searches the compact group
-SU(2)^n for isolated product-operator symmetries u with u psi = t psi
-from random restarts; restricting to the compact group is justified on
-critical states with zero-dimensional stabilizer, where every
-product-operator symmetry is unitary.
-
-The search (``_alternating_align``, also used by ``convert``) runs all
-restarts, and at odd n the phases t = 1, i, -i, as one batch of
-alternating sweeps; each per-qubit update is a closed-form 2x2 step.
-
-An empty search result is numerical evidence at the given budget, not a
-proof; verdict records therefore carry the budget they were obtained
-under.
+tangent map X -> X|psi>.  The discrete part finds isolated symmetries
+u psi = t psi in SU(2)^n, where every product-operator symmetry of a
+critical state with zero-dimensional stabilizer lies.  Such a u rotates
+the correlation tensors of qubits 1 and k, T_1k(u psi) = R_1 T_1k(psi)
+R_k^T.  So if T_12 has distinct singular values ("pair_exact") the
+tensors leave at most 4 candidates, up to factor signs, and an empty
+result is a complete enumeration; with one repeated value they lie on
+a circle, sampled on a grid ("pair_circle"); otherwise the starts are
+Haar-random ("random"), and an empty result is numerical evidence at
+the given budget, not a proof.  ``_alternating_align`` (also used by
+``convert``) polishes all starts, and at odd n the phases t = 1, i, -i,
+as one batch of alternating sweeps with closed-form 2x2 steps.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ from .states import (
     apply_chain,
     apply_factor,
     derive_rng,
+    _PAULIS,
+    _correlations,
     _ginibre,
     _haar_u2,
 )
@@ -69,6 +70,7 @@ class StabilizerProbe:
     in_c: bool  # critical and zero-dimensional Lie stabilizer
     discrete_candidates: list[tuple[LocalOperatorChain, float]] = field(default_factory=list)
     gtilde_phase_hits: list[tuple[complex, LocalOperatorChain, float]] = field(default_factory=list)
+    start_path: str | None = None  # "pair_exact" | "pair_circle" | "random"; None: no search ran
 
 
 @dataclass
@@ -117,6 +119,9 @@ def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
 # ---------------------------------------------------------------------------
 
 _BATCH_BYTES = 1 << 24  # cap on the amplitudes of one batch of search rows
+_GAP_TOL = 1e-6  # relative gap below which two singular values of T_12 count as equal
+_COND_TOL = 1e6  # cond(T_1k) above which T_1k does not fix the rotation of qubit k
+_CANDIDATE_OVERLAP = 1e-3  # 1 - overlap above which an exact-path row cannot become a hit
 
 
 def _su2_step(m: np.ndarray) -> np.ndarray:
@@ -151,13 +156,13 @@ def _u2_step(m: np.ndarray) -> np.ndarray:
 
 
 def _sweep_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray,
-                factors: np.ndarray, step) -> np.ndarray:
+                factors: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
     """Maximize Re <t_r target|u_r psi> for every row r by alternating sweeps.
 
-    Updates ``factors`` (rows, n, 2, 2) in place; returns the residuals
-    ||u_r psi - t_r target||.  chi = u psi is held, so updating qubit k
-    costs one overlap, C = u_k^dag <target|chi>_k, and one apply.  A row
-    stops below 1e-14 or after 8 stalled sweeps and leaves the batch.
+    Returns ``factors`` (rows, n, 2, 2), updated in place, and the
+    residuals ||u_r psi - t_r target||.  chi = u psi is held, so updating
+    qubit k costs one overlap, C = u_k^dag <target|chi>_k, and one apply.
+    A row stops below 1e-14 or after 8 stalled sweeps and leaves the batch.
     """
     rows, n = factors.shape[:2]
     chi = np.broadcast_to(psi, (rows, psi.size))
@@ -188,33 +193,100 @@ def _sweep_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray,
             break
         live, fac, chi, want, tbar = live[keep], fac[keep], chi[keep], want[keep], tbar[keep]
         prev, stalls = res[keep], stalls[keep]
-    return residual
+    return factors, residual
+
+
+def _su2_lift(r: np.ndarray) -> np.ndarray:
+    """u in SU(2), up to sign, with u sigma_b u^dag = sum_a r[a, b] sigma_a
+    for a stack of rotations r: u = q0 I - i q.sigma for the unit
+    quaternion q, read off the column of 4 q q^T (linear in r) with the
+    largest diagonal entry."""
+    tr = np.trace(r, axis1=-2, axis2=-1)[..., None, None]
+    w = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
+                  r[..., 1, 0] - r[..., 0, 1]], -1)
+    qq = np.concatenate([np.concatenate([1 + tr, w[..., None, :]], -1), np.concatenate(
+        [w[..., None], r + r.swapaxes(-1, -2) + (1 - tr) * np.eye(3)], -1)], -2)
+    col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1)[..., None, None]
+    q = np.take_along_axis(qq, col, -1)[..., 0]
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return q[..., :1, None] * np.eye(2) - 1j * np.einsum("...a,aij->...ij", q[..., 1:], _PAULIS)
+
+
+def _start_path(tensors: np.ndarray) -> str:
+    """The path ``_starts`` takes for a source with correlation tensors T_1k."""
+    sv = np.linalg.svd(tensors, compute_uv=False)
+    equal = -np.diff(sv[0]) <= _GAP_TOL * sv[0, 0]
+    if equal.all() or not np.all(sv[:, -1] * _COND_TOL > sv[:, 0]):
+        return "random"
+    return "pair_circle" if equal.any() else "pair_exact"
+
+
+def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
+            special: bool) -> tuple[np.ndarray, str]:
+    """Start rows (rows, n, 2, 2) aligning psi with target, and their path.
+
+    With T_12(psi) = A S B^T and T_12(target) = A' S B'^T, R_1 = A' P A^T
+    for an orthogonal P commuting with S: on the exact path the 4 sign
+    diagonals of determinant det(A A'), on the circle path diag(eps,
+    O(theta)) on the repeated plane, eps alternating +1, -1.  Then R_k =
+    T_1k(target)^T R_1 T_1k(psi)^-T.  Random row r is from derive_rng(seed, r).
+    """
+    src = _correlations(psi.amplitudes, psi.n)
+    path = _start_path(src)
+    if path == "random":
+        return _haar_u2(np.stack([_ginibre(derive_rng(seed, r), (psi.n,))
+                                  for r in range(restarts)]), special), path
+    dst = _correlations(target.amplitudes, target.n)
+    (a, s, _), a2 = np.linalg.svd(src[0]), np.linalg.svd(dst[0])[0]
+    det = np.linalg.det(a) * np.linalg.det(a2)
+    if path == "pair_exact":
+        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        p = det * signs[..., None] * np.eye(3)
+    else:  # columns i, j of A span the repeated plane
+        i, j, m = (0, 1, 2) if s[0] - s[1] < s[1] - s[2] else (1, 2, 0)
+        theta, eps = 2 * np.pi * np.arange(restarts) / restarts, (-1.0) ** np.arange(restarts)
+        c, sn, flip = np.cos(theta), np.sin(theta), eps * det  # flip -1: a reflection
+        p = np.zeros((restarts, 3, 3))
+        p[:, m, m], p[:, i, i], p[:, j, i] = eps, c, sn
+        p[:, i, j], p[:, j, j] = -sn * flip, c * flip
+    r1 = a2 @ p @ a.T
+    rk = dst.swapaxes(-1, -2) @ r1[:, None] @ np.linalg.inv(src).swapaxes(-1, -2)
+    return _su2_lift(np.concatenate([r1[:, None], rk], 1)), path
 
 
 def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
                        seed: int, special: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize Re <t target|u psi> over SU(2)^n or U(2)^n from random starts.
+    """Maximize Re <t target|u psi> over SU(2)^n or U(2)^n from ``_starts``.
 
-    Start r of every phase t comes from derive_rng(seed, r).  Returns
-    factors (len(phases), restarts, n, 2, 2) and residuals ||u psi - t
-    target|| (len(phases), restarts).  Rows are independent, so cutting
-    the batch into chunks of ``_BATCH_BYTES`` changes no row.  Callers
-    check ``restarts >= 1`` at their entry.
+    Every phase starts from the same rows; on the exact path a row that
+    does not start as a hit up to _CANDIDATE_OVERLAP cannot become one,
+    so it keeps its start and residual inf.  Returns factors (len(phases),
+    rows, n, 2, 2) and residuals ||u psi - t target|| (len(phases), rows).
+    Rows are independent, so cutting the batch into chunks of
+    ``_BATCH_BYTES`` changes no row.  Callers check ``restarts >= 1``.
     """
     phases = np.asarray(phases, dtype=complex)
-    start = _haar_u2(np.stack([_ginibre(derive_rng(seed, r), (psi.n,))
-                               for r in range(restarts)]), special)
+    start, path = _starts(psi, target, restarts, seed, special)
     factors = np.tile(start, (phases.size, 1, 1, 1))
-    row_phases = np.repeat(phases, restarts)
-    residuals = np.empty(factors.shape[0])
+    row_phases = np.repeat(phases, len(start))
+    live = np.arange(factors.shape[0])
+    if path == "pair_exact":
+        chi = psi.amplitudes
+        for k in range(psi.n):
+            chi = apply_factor(start[:, k], chi, k)
+        ov = np.tile(chi @ target.amplitudes.conj() / (psi.norm() * target.norm()), phases.size)
+        # U(2)^n absorbs any phase, SU(2)^n a sign: -u_1 is in SU(2)
+        fit = abs((row_phases.conj() * ov).real) if special else abs(ov)
+        live = live[fit > 1.0 - _CANDIDATE_OVERLAP]
+    residuals = np.full(factors.shape[0], np.inf)
     chunk = max(1, _BATCH_BYTES // (16 * psi.dim))
     step = _su2_step if special else _u2_step
-    for lo in range(0, factors.shape[0], chunk):
-        rows = slice(lo, lo + chunk)
-        residuals[rows] = _sweep_rows(psi.amplitudes, target.amplitudes,
-                                      row_phases[rows], factors[rows], step)
-    return (factors.reshape(phases.size, restarts, psi.n, 2, 2),
-            residuals.reshape(phases.size, restarts))
+    for lo in range(0, live.size, chunk):
+        rows = live[lo:lo + chunk]
+        factors[rows], residuals[rows] = _sweep_rows(
+            psi.amplitudes, target.amplitudes, row_phases[rows], factors[rows], step)
+    return (factors.reshape(phases.size, len(start), psi.n, 2, 2),
+            residuals.reshape(phases.size, len(start)))
 
 
 def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -321,7 +393,9 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
     +-1 so step 3 suffices; for odd n a nonzero degree-4 invariant pins
     the phase to fourth roots of unity and the +-i cases are probed
     directly.  Witness findings are reported on the critical
-    representative, whose stabilizer is conjugate to that of psi.
+    representative, whose stabilizer is conjugate to that of psi.  On
+    start path "pair_exact" step 3 enumerates every candidate, so a
+    "trivial" verdict does not depend on the budget or the seed.
     """
     _require_budget(restarts, tol)
     scaling = scale_to_critical(psi, tol=_REPRESENTATIVE_TOL)
@@ -339,6 +413,7 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
         return verdict("non_trivial", "lie_dim")
     # odd n: the searches at t = 1, i, -i run as one batch; gates keep their order
     phases = (1.0,) if rep.n % 2 == 0 else (1.0, 1j, -1j)
+    probe.start_path = _start_path(_correlations(rep.amplitudes, rep.n))
     hits = _search(rep, phases, restarts, seed, tol)
     probe.discrete_candidates = [(chain, res) for t, chain, res in hits if t == 1.0]
     if probe.discrete_candidates:

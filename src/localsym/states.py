@@ -243,6 +243,19 @@ def _reduction(amp: np.ndarray, k: int) -> np.ndarray:
     return rho / rho.trace().real
 
 
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _correlations(amp: np.ndarray, n: int) -> np.ndarray:
+    """T_1k[a, b] = <sigma_a (x) sigma_b> on qubits 1 and k, k = 2..n, of the
+    normalized state: Tr(sigma_b c_a) for c_a the reduction of qubit k
+    across <amp| sigma_a (on qubit 1) and |amp>, a real (n - 1, 3, 3) stack."""
+    bra = apply_factor(_PAULIS, amp, 0).conj()
+    cross = np.stack([np.einsum("akjr,kir->aji", bra.reshape(3, 2**k, 2, -1),
+                                amp.reshape(2**k, 2, -1)) for k in range(1, n)])
+    return np.einsum("bji,kaji->kab", _PAULIS, cross).real / np.vdot(amp, amp).real
+
+
 def reduced_density(psi: PureState, k: int) -> np.ndarray:
     """Single-qubit reduced density matrix of qubit k (1-based).
 

@@ -61,12 +61,6 @@ def seed_state_witnesses():
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi = make_gabcd(*coeffs)
         found = discrete_stabilizer_search(psi, restarts=32, seed=i)
-        targets = [kron_all([p] * 4) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-        missing = [t for t in targets
-                   if min((phase_aligned_distance(kron_all(c.factors), t)
-                           for c, _ in found), default=np.inf) >= 1e-6]
-        if missing:  # top up the budget; still >= 32 restarts overall
-            found += discrete_stabilizer_search(psi, restarts=32, seed=1000 + i)
         results.append((psi, coeffs, found))
     return results
 

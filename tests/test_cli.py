@@ -122,6 +122,7 @@ def test_stab_l5_witness(tmp_path, capsys):
     assert payload["verdict"] == "non_trivial"
     assert payload["failed_gate"] == "phase_search"
     assert payload["gtilde_phase_hits"]
+    assert payload["start_path"] == "pair_circle"  # T_12 of L5 has values (1/2, 1/4, 1/4)
 
 
 def test_stab_rejects_zero_restarts(tmp_path, capsys):

@@ -192,6 +192,31 @@ def test_connector_pmax_matches_dense_oracle(s):
     assert abs(pmax(psi, connector).p_max - oracle) <= 1e-10 * oracle
 
 
+@pytest.mark.parametrize("n,psi_seed,g_seed", [(5, 742229531, 900129750),
+                                               (5, 551041526, 2114549257),
+                                               (7, 2080559624, 874231927),
+                                               (8, 1258465162, 663344350),
+                                               (8, 980625548, 854138872)])
+def test_find_connector_on_pairs_random_starts_missed(n, psi_seed, g_seed):
+    """32 Haar-random alignment starts returned None on these pairs."""
+    psi = sample_haar_state(n, psi_seed)
+    phi = apply_chain(sample_chain(n, "G", g_seed), psi).normalized()
+    g = find_connector(psi, phi)
+    assert g is not None
+    assert fidelity(apply_chain(g, psi), phi) > 1 - 1e-8
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(4, 8), st.integers(0, 2**31 - 1))
+def test_find_connector_on_random_g_orbits(n, seed):
+    """phi = g psi / ||g psi|| is connected to psi by construction."""
+    psi = sample_haar_state(n, seed)
+    phi = apply_chain(sample_chain(n, "G", seed + 1), psi).normalized()
+    g = find_connector(psi, phi)
+    assert g is not None
+    assert fidelity(apply_chain(g, psi), phi) > 1 - 1e-8
+
+
 def test_find_connector_rejects_zero_restarts():
     psi = sample_haar_state(4, 8)
     phi = apply_chain(sample_chain(4, "G", 9), psi).normalized()

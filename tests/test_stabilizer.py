@@ -20,7 +20,9 @@ from localsym import (
 )
 
 from localsym import critical, stabilizer
-from localsym.stabilizer import _DEDUP_RADIUS, _chain_distance, _su2_step, _u2_step
+from localsym.states import _PAULIS, _correlations, derive_rng
+from localsym.stabilizer import (_DEDUP_RADIUS, _chain_distance, _starts, _su2_lift,
+                                 _su2_step, _u2_step)
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -280,13 +282,118 @@ def test_probe_invariant_under_local_unitaries_and_permutations(n, seed):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_search_rows_do_not_depend_on_batch_size(seed):
-    psi = make_gabcd(1, 2 + 1j, 3, 0.5)
-    few = discrete_stabilizer_search(psi, restarts=8, seed=seed)
-    many = discrete_stabilizer_search(psi, restarts=32, seed=seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stabilizer, "_BATCH_BYTES", 5 * 16 * psi.dim)  # 5 rows a chunk
-        chunked = discrete_stabilizer_search(psi, restarts=32, seed=seed)
-    assert [c.factors.tolist() for c, _ in chunked] == [c.factors.tolist() for c, _ in many]
-    for chain, _ in few:
-        assert min(_chain_distance(chain.factors, other.factors)
-                   for other, _ in many) < _DEDUP_RADIUS
+    # gabcd takes the exact path, L4 (T_12 proportional to the identity) the random one
+    for psi in (make_gabcd(1, 2 + 1j, 3, 0.5), make_ln(4)):
+        few = discrete_stabilizer_search(psi, restarts=8, seed=seed)
+        many = discrete_stabilizer_search(psi, restarts=32, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stabilizer, "_BATCH_BYTES", 5 * 16 * psi.dim)  # 5 rows a chunk
+            chunked = discrete_stabilizer_search(psi, restarts=32, seed=seed)
+        assert [c.factors.tolist() for c, _ in chunked] == [c.factors.tolist() for c, _ in many]
+        for chain, _ in few:
+            assert min(_chain_distance(chain.factors, other.factors)
+                       for other, _ in many) < _DEDUP_RADIUS
+
+
+# ---------------------------------------------------------------------------
+# starts from two-qubit correlation tensors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_correlations_match_dense_oracle(n):
+    psi = sample_haar_state(n, 40 + n)
+    amp = 2.0 * psi.amplitudes  # the tensors are those of the normalized state
+    tensors = _correlations(amp, n)
+    assert tensors.shape == (n - 1, 3, 3)
+    for k in range(2, n + 1):
+        for a, sa in enumerate(_PAULIS):
+            for b, sb in enumerate(_PAULIS):
+                ops = [np.eye(2)] * n
+                ops[0], ops[k - 1] = sa, sb
+                dense = np.vdot(psi.amplitudes, kron_all(ops) @ psi.amplitudes).real
+                assert abs(tensors[k - 2, a, b] - dense) < 1e-12
+
+
+def test_su2_lift_conjugates_paulis_by_the_rotation():
+    """u sigma_b u^dag = sum_a R[a, b] sigma_a; the inverse convention would
+    still pass every self-symmetry test, as the candidate set is a group."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((200, 3, 3)))
+    rot = q * np.sign(np.linalg.det(q))[:, None, None]
+    # half-turns: trace -1, the branch where the quaternion's scalar part vanishes
+    rot = np.concatenate([rot, [np.diag([1.0, -1, -1]), np.diag([-1.0, 1, -1]),
+                                np.diag([-1.0, -1, 1]), np.eye(3)]])
+    u = _su2_lift(rot)
+    assert np.max(abs(np.linalg.det(u) - 1)) < 1e-12
+    moved = np.einsum("rij,bjk,rlk->rbil", u, _PAULIS, u.conj())
+    assert np.max(abs(moved - np.einsum("rab,aij->rbij", rot, _PAULIS))) < 1e-12
+
+
+def has_analytic_hit(n, hits):
+    """Some hit is diag(a, conj a) on every qubit, each factor up to sign,
+    with a^(2n - 2) = 1 and a^(n - 2) = i."""
+    roots = np.exp(2j * np.pi * np.arange(2 * n - 2) / (2 * n - 2))
+    targets = [np.diag([a, np.conj(a)]) for a in roots if abs(a ** (n - 2) - 1j) < 1e-9]
+    return any(_chain_distance(chain.factors, d) < 1e-6
+               for chain, _ in hits for d in targets)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("seed", [1810563169, 1065909897])
+def test_ln_phase_witness_at_seeds_where_random_starts_missed(n, seed):
+    """At these seeds 32 Haar starts found no hit for L5 at t = i."""
+    assert has_analytic_hit(n, phase_stabilizer_search(make_ln(n), 1j, seed=seed))
+
+
+@pytest.mark.parametrize("psi,path", [(make_gabcd(1, 2 + 1j, 3, 0.5), "pair_exact"),
+                                      (make_ln(5), "pair_circle"),
+                                      (make_ln(7), "pair_circle"),
+                                      (make_ln(4), "random")],
+                         ids=["gabcd", "L5", "L7", "L4"])
+def test_start_paths(psi, path):
+    assert _starts(psi, psi, 8, 0, True)[1] == path
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(1, 2**31 - 1))
+def test_exact_and_circle_hits_do_not_depend_on_seed(seed):
+    gabcd, l5 = make_gabcd(1, 2 + 1j, 3, 0.5), make_ln(5)
+    for search in (lambda s: discrete_stabilizer_search(gabcd, seed=s),
+                   lambda s: phase_stabilizer_search(l5, 1j, seed=s)):
+        assert ([c.factors.tobytes() for c, _ in search(seed)]
+                == [c.factors.tobytes() for c, _ in search(0)])
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_haar_n4_states_have_three_unitary_symmetries(index):
+    """Generic four-qubit states have the Klein group of Pauli-type
+    symmetries; random starts missed all three at index 3."""
+    verdict = gtilde_triviality_probe(sample_haar_state(4, derive_rng(1, index, 0)))
+    assert (verdict.verdict, verdict.failed_gate) == ("non_trivial", "discrete_search")
+    assert verdict.probe.start_path == "pair_exact"
+    rep, found = verdict.representative, verdict.probe.discrete_candidates
+    assert len(found) == 3
+    for chain, _ in found:
+        dense = kron_all(chain.factors)
+        assert np.linalg.norm(dense @ rep.amplitudes - rep.amplitudes) < 1e-8
+        fwd, bwd = adjoint_closure_check(rep, chain)
+        assert bwd <= 10 * max(fwd, 1e-15)
+
+
+def assert_same_chains(found, expected):
+    assert len(found) == len(expected)
+    for chain in expected:
+        assert min(_chain_distance(chain, other) for other in found) < 1e-6
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_hits_are_conjugated_by_local_unitaries(seed):
+    """The hits of k psi are k h k^dag over the hits h of psi, up to sign
+    per factor: a wrong index order in the correlation tensors breaks this."""
+    gabcd, l5 = make_gabcd(1, 2 + 1j, 3, 0.5), make_ln(5)
+    for psi, search in ((gabcd, discrete_stabilizer_search),
+                        (l5, lambda psi: phase_stabilizer_search(psi, 1j))):
+        k = sample_chain(psi.n, "K", seed).factors
+        hits = [c.factors for c, _ in search(psi)]
+        moved = [c.factors for c, _ in search(apply_chain(LocalOperatorChain(k, "K"), psi))]
+        assert_same_chains(moved, [k @ h @ k.conj().swapaxes(-1, -2) for h in hits])
