@@ -22,7 +22,8 @@ for psi, name in [(make_ghz(3), "GHZ_3"), (make_ghz(4), "GHZ_4"),
     print(name, "lie_dim =", lie_stabilizer_dim(psi).lie_dim)
 
 # The four-qubit seed state always commutes with the three uniform Pauli
-# strings; the discrete search finds them from random restarts.
+# strings; the discrete search enumerates them from the two-qubit
+# correlation tensors (start path pair_exact), whatever the restarts.
 psi = make_gabcd(1, 2 + 1j, 3, 0.5)
 verdict = gtilde_triviality_probe(psi, restarts=32, seed=0)
 print("\nseed state verdict:", verdict.verdict, "via", verdict.failed_gate)

@@ -198,7 +198,7 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
     for res, name in ((scale_psi, "psi"), (scale_phi, "phi")):
         if res.status != "converged":
             raise ValueError(f"no critical representative for {name} ({res.status})")
-    factors, residuals = _alternating_align(
+    factors, residuals, _ = _alternating_align(
         scale_psi.representative, scale_phi.representative, (1.0,), restarts,
         seed, special=False)
     u = factors[0, np.argmin(residuals[0])]

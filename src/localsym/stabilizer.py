@@ -7,13 +7,14 @@ u psi = t psi in SU(2)^n, where every product-operator symmetry of a
 critical state with zero-dimensional stabilizer lies.  Such a u rotates
 the correlation tensors of qubits 1 and k, T_1k(u psi) = R_1 T_1k(psi)
 R_k^T.  So if T_12 has distinct singular values ("pair_exact") the
-tensors leave at most 4 candidates, up to factor signs, and an empty
-result is a complete enumeration; with one repeated value they lie on
-a circle, sampled on a grid ("pair_circle"); otherwise the starts are
-Haar-random ("random"), and an empty result is numerical evidence at
-the given budget, not a proof.  ``_alternating_align`` (also used by
-``convert``) polishes all starts, and at odd n the phases t = 1, i, -i,
-as one batch of alternating sweeps with closed-form 2x2 steps.
+tensors leave at most 4 candidates, up to factor signs; with one repeated
+value ("pair_circle") they are critical points of two trigonometric
+polynomials on two circles.  Either way an empty result is a complete
+enumeration.  Otherwise the starts are Haar-random ("random"), and an
+empty result is numerical evidence at the given budget, not a proof.
+``_alternating_align`` (also used by ``convert``) polishes all starts,
+and at odd n the phases t = 1, i, -i, as one batch of alternating
+sweeps with closed-form 2x2 steps.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
 _BATCH_BYTES = 1 << 24  # cap on the amplitudes of one batch of search rows
 _GAP_TOL = 1e-6  # relative gap below which two singular values of T_12 count as equal
 _COND_TOL = 1e6  # cond(T_1k) above which T_1k does not fix the rotation of qubit k
-_CANDIDATE_OVERLAP = 1e-3  # 1 - overlap above which an exact-path row cannot become a hit
+_CANDIDATE_OVERLAP = 1e-3  # 1 - overlap above which an exact or circle row cannot become a hit
+_ROOT_RING = 1e-3  # ||z| - 1| below which a root of z^D f' is a candidate angle
 
 
 def _su2_step(m: np.ndarray) -> np.ndarray:
@@ -212,13 +214,33 @@ def _su2_lift(r: np.ndarray) -> np.ndarray:
     return q[..., :1, None] * np.eye(2) - 1j * np.einsum("...a,aij->...ij", q[..., 1:], _PAULIS)
 
 
-def _start_path(tensors: np.ndarray) -> str:
-    """The path ``_starts`` takes for a source with correlation tensors T_1k."""
-    sv = np.linalg.svd(tensors, compute_uv=False)
-    equal = -np.diff(sv[0]) <= _GAP_TOL * sv[0, 0]
-    if equal.all() or not np.all(sv[:, -1] * _COND_TOL > sv[:, 0]):
-        return "random"
-    return "pair_circle" if equal.any() else "pair_exact"
+def _critical_angles(samples: np.ndarray) -> np.ndarray:
+    """Critical points of the real trigonometric polynomial f of degree
+    D = len(samples) / 2 - 1 sampled at 2D + 2 equispaced angles from 0:
+    the roots z = exp(i theta) of the degree-2D polynomial z^D f'(theta),
+    each polished by Newton steps on f'.  A constant f gives theta = 0."""
+    k = np.arange(1 - samples.size // 2, samples.size // 2)  # -D..D
+    d1 = 1j * k * np.fft.fft(samples)[k] / samples.size  # coefficients of f'
+    z = np.roots(d1[::-1])
+    theta = np.angle(z[abs(abs(z) - 1.0) < _ROOT_RING])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            wave = np.exp(1j * np.outer(theta, k))
+            theta = theta - (wave @ d1).real / (wave @ (1j * k * d1)).real
+    theta = theta[np.isfinite(theta)]
+    return theta if theta.size else np.zeros(1)
+
+
+def _overlaps(rows: np.ndarray, psi: PureState, target: PureState) -> np.ndarray:
+    """<target|u_r psi> / (||psi|| ||target||) for rows u_r, in chunks of _BATCH_BYTES."""
+    chunk = max(1, _BATCH_BYTES // (16 * psi.dim))
+    ov = np.empty(len(rows), dtype=complex)
+    for lo in range(0, len(rows), chunk):
+        chi = psi.amplitudes
+        for k in range(psi.n):
+            chi = apply_factor(rows[lo:lo + chunk, k], chi, k)
+        ov[lo:lo + chunk] = chi @ target.amplitudes.conj()
+    return ov / (psi.norm() * target.norm())
 
 
 def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
@@ -226,55 +248,68 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     """Start rows (rows, n, 2, 2) aligning psi with target, and their path.
 
     With T_12(psi) = A S B^T and T_12(target) = A' S B'^T, R_1 = A' P A^T
-    for an orthogonal P commuting with S: on the exact path the 4 sign
-    diagonals of determinant det(A A'), on the circle path diag(eps,
-    O(theta)) on the repeated plane, eps alternating +1, -1.  Then R_k =
-    T_1k(target)^T R_1 T_1k(psi)^-T.  Random row r is from derive_rng(seed, r).
+    for an orthogonal P commuting with S, and R_k = T_1k(target)^T R_1
+    T_1k(psi)^-T.  Exact path: P is one of the 4 sign diagonals of
+    determinant det(A A').  Circle path: P = diag(eps, O(theta)) on the
+    repeated plane, eps = +-1, and R_k is affine in (cos theta, sin theta),
+    so h = sum_k ||R_k^T R_k - I||^2 (zero at a symmetry) and, if h = 0,
+    q = |<target|u psi>|^2 (one at a symmetry) have degree D = max(n, 4):
+    the rows are their critical points.  Random row r: derive_rng(seed, r).
     """
     src = _correlations(psi.amplitudes, psi.n)
-    path = _start_path(src)
-    if path == "random":
+    a, s, _ = np.linalg.svd(src)  # of every T_1k; T_12 is index 0
+    equal = -np.diff(s[0]) <= _GAP_TOL * s[0, 0]
+    if equal.all() or not np.all(s[:, -1] * _COND_TOL > s[:, 0]):
         return _haar_u2(np.stack([_ginibre(derive_rng(seed, r), (psi.n,))
-                                  for r in range(restarts)]), special), path
-    dst = _correlations(target.amplitudes, target.n)
-    (a, s, _), a2 = np.linalg.svd(src[0]), np.linalg.svd(dst[0])[0]
+                                  for r in range(restarts)]), special), "random"
+    path = "pair_circle" if equal.any() else "pair_exact"
+    dst = src if target is psi else _correlations(target.amplitudes, target.n)
+    a, s, a2 = a[0], s[0], np.linalg.svd(dst[0])[0]
     det = np.linalg.det(a) * np.linalg.det(a2)
+
+    def rotations(p: np.ndarray) -> np.ndarray:  # (rows, n, 3, 3): R_1, R_2, ..., R_n
+        r1 = a2 @ p @ a.T
+        rk = dst.swapaxes(-1, -2) @ r1[:, None] @ np.linalg.inv(src).swapaxes(-1, -2)
+        return np.concatenate([r1[:, None], rk], 1)
+
     if path == "pair_exact":
         signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        p = det * signs[..., None] * np.eye(3)
-    else:  # columns i, j of A span the repeated plane
-        i, j, m = (0, 1, 2) if s[0] - s[1] < s[1] - s[2] else (1, 2, 0)
-        theta, eps = 2 * np.pi * np.arange(restarts) / restarts, (-1.0) ** np.arange(restarts)
+        return _su2_lift(rotations(det * signs[..., None] * np.eye(3))), path
+    i, j, m = (0, 1, 2) if s[0] - s[1] < s[1] - s[2] else (1, 2, 0)  # i, j: the plane
+
+    def circle(theta: np.ndarray, eps: np.ndarray) -> np.ndarray:
         c, sn, flip = np.cos(theta), np.sin(theta), eps * det  # flip -1: a reflection
-        p = np.zeros((restarts, 3, 3))
-        p[:, m, m], p[:, i, i], p[:, j, i] = eps, c, sn
-        p[:, i, j], p[:, j, j] = -sn * flip, c * flip
-    r1 = a2 @ p @ a.T
-    rk = dst.swapaxes(-1, -2) @ r1[:, None] @ np.linalg.inv(src).swapaxes(-1, -2)
-    return _su2_lift(np.concatenate([r1[:, None], rk], 1)), path
+        p = np.zeros((theta.size, 3, 3))
+        p[:, [m, i, j, i, j], [m, i, i, j, j]] = np.stack([eps, c, sn, -sn * flip, c * flip], 1)
+        return rotations(p)
+
+    size = 2 * max(psi.n, 4) + 2
+    r = circle(np.tile(2 * np.pi * np.arange(size) / size, 2), np.repeat([1.0, -1.0], size))
+    h = np.sum(abs(r.swapaxes(-1, -2) @ r - np.eye(3)) ** 2, axis=(1, 2, 3))
+    q = abs(_overlaps(_su2_lift(r), psi, target)) ** 2
+    theta = [_critical_angles(f[lo:lo + size]) for lo in (0, size) for f in (h, q)]
+    eps = np.repeat([1.0, 1.0, -1.0, -1.0], [t.size for t in theta])
+    return _su2_lift(circle(np.concatenate(theta), eps)), path
 
 
 def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
-                       seed: int, special: bool) -> tuple[np.ndarray, np.ndarray]:
+                       seed: int, special: bool) -> tuple[np.ndarray, np.ndarray, str]:
     """Maximize Re <t target|u psi> over SU(2)^n or U(2)^n from ``_starts``.
 
-    Every phase starts from the same rows; on the exact path a row that
-    does not start as a hit up to _CANDIDATE_OVERLAP cannot become one,
-    so it keeps its start and residual inf.  Returns factors (len(phases),
-    rows, n, 2, 2) and residuals ||u psi - t target|| (len(phases), rows).
-    Rows are independent, so cutting the batch into chunks of
-    ``_BATCH_BYTES`` changes no row.  Callers check ``restarts >= 1``.
+    Every phase starts from the same rows.  On the exact and circle paths
+    they are every candidate, and a row that does not start as a hit up
+    to _CANDIDATE_OVERLAP at its phase keeps its start and residual inf.
+    Returns factors (len(phases), rows, n, 2, 2), residuals ||u psi - t
+    target|| (len(phases), rows) and the path.  Rows are independent, so
+    chunks of ``_BATCH_BYTES`` change no row.  Callers check restarts >= 1.
     """
     phases = np.asarray(phases, dtype=complex)
     start, path = _starts(psi, target, restarts, seed, special)
     factors = np.tile(start, (phases.size, 1, 1, 1))
     row_phases = np.repeat(phases, len(start))
     live = np.arange(factors.shape[0])
-    if path == "pair_exact":
-        chi = psi.amplitudes
-        for k in range(psi.n):
-            chi = apply_factor(start[:, k], chi, k)
-        ov = np.tile(chi @ target.amplitudes.conj() / (psi.norm() * target.norm()), phases.size)
+    if path != "random":
+        ov = np.tile(_overlaps(start, psi, target), phases.size)
         # U(2)^n absorbs any phase, SU(2)^n a sign: -u_1 is in SU(2)
         fit = abs((row_phases.conj() * ov).real) if special else abs(ov)
         live = live[fit > 1.0 - _CANDIDATE_OVERLAP]
@@ -286,7 +321,7 @@ def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
         factors[rows], residuals[rows] = _sweep_rows(
             psi.amplitudes, target.amplitudes, row_phases[rows], factors[rows], step)
     return (factors.reshape(phases.size, len(start), psi.n, 2, 2),
-            residuals.reshape(phases.size, len(start)))
+            residuals.reshape(phases.size, len(start)), path)
 
 
 def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -303,15 +338,15 @@ def _require_budget(restarts: int, tol: float) -> None:
         raise ValueError(f"search tolerance must be positive, got {tol}")
 
 
-def _search(psi: PureState, phases, restarts: int, seed: int,
-            tol: float) -> list[tuple[complex, LocalOperatorChain, float]]:
-    """Verified hits (t, u, ||u psi - t psi||) below tol, in phase order.
+def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
+            ) -> tuple[list[tuple[complex, LocalOperatorChain, float]], str]:
+    """Verified hits (t, u, ||u psi - t psi||) below tol in phase order, and the path.
 
     Hits near the identity are dropped for t = 1, near-duplicates are
     merged per phase, and every kept chain is re-verified.
     """
-    all_factors, all_residuals = _alternating_align(psi, psi, phases, restarts,
-                                                    seed, special=True)
+    all_factors, all_residuals, path = _alternating_align(psi, psi, phases, restarts,
+                                                          seed, special=True)
     hits: list[tuple[complex, LocalOperatorChain, float]] = []
     for t, factors, residuals in zip(phases, all_factors, all_residuals):
         exclude_identity = abs(t - 1.0) <= 1e-12
@@ -328,7 +363,7 @@ def _search(psi: PureState, phases, restarts: int, seed: int,
             if check <= tol:
                 found.append(chain)
                 hits.append((t, chain, float(check)))
-    return hits
+    return hits, path
 
 
 def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0,
@@ -363,7 +398,7 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     lie_dim = _lie_probe(psi, is_critical=True).lie_dim
     if lie_dim != 0:
         raise ValueError(f"precondition failed: lie_dim (got {lie_dim}, need 0)")
-    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)]
+    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)[0]]
 
 
 def adjoint_closure_check(psi: PureState, chain: LocalOperatorChain) -> tuple[float, float]:
@@ -394,8 +429,9 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
     the phase to fourth roots of unity and the +-i cases are probed
     directly.  Witness findings are reported on the critical
     representative, whose stabilizer is conjugate to that of psi.  On
-    start path "pair_exact" step 3 enumerates every candidate, so a
-    "trivial" verdict does not depend on the budget or the seed.
+    start paths "pair_exact" and "pair_circle" step 3 enumerates every
+    candidate, so a "trivial" verdict does not depend on the budget or
+    the seed.
     """
     _require_budget(restarts, tol)
     scaling = scale_to_critical(psi, tol=_REPRESENTATIVE_TOL)
@@ -413,8 +449,7 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
         return verdict("non_trivial", "lie_dim")
     # odd n: the searches at t = 1, i, -i run as one batch; gates keep their order
     phases = (1.0,) if rep.n % 2 == 0 else (1.0, 1j, -1j)
-    probe.start_path = _start_path(_correlations(rep.amplitudes, rep.n))
-    hits = _search(rep, phases, restarts, seed, tol)
+    hits, probe.start_path = _search(rep, phases, restarts, seed, tol)
     probe.discrete_candidates = [(chain, res) for t, chain, res in hits if t == 1.0]
     if probe.discrete_candidates:
         return verdict("non_trivial", "discrete_search")

@@ -217,6 +217,17 @@ def test_find_connector_on_random_g_orbits(n, seed):
     assert fidelity(apply_chain(g, psi), phi) > 1 - 1e-8
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("restarts", [1, 32])
+def test_find_connector_on_ln_g_orbits(n, restarts):
+    """L_n takes the circle path, whose candidates do not depend on the budget."""
+    psi = make_ln(n)
+    phi = apply_chain(sample_chain(n, "G", 100 * n), psi).normalized()
+    g = find_connector(psi, phi, restarts=restarts)
+    assert g is not None
+    assert fidelity(apply_chain(g, psi), phi) > 1 - 1e-8
+
+
 def test_find_connector_rejects_zero_restarts():
     psi = sample_haar_state(4, 8)
     phi = apply_chain(sample_chain(4, "G", 9), psi).normalized()

@@ -21,8 +21,8 @@ from localsym import (
 
 from localsym import critical, stabilizer
 from localsym.states import _PAULIS, _correlations, derive_rng
-from localsym.stabilizer import (_DEDUP_RADIUS, _chain_distance, _starts, _su2_lift,
-                                 _su2_step, _u2_step)
+from localsym.stabilizer import (_DEDUP_RADIUS, _chain_distance, _critical_angles, _starts,
+                                 _su2_lift, _su2_step, _u2_step)
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -282,13 +282,15 @@ def test_probe_invariant_under_local_unitaries_and_permutations(n, seed):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_search_rows_do_not_depend_on_batch_size(seed):
-    # gabcd takes the exact path, L4 (T_12 proportional to the identity) the random one
-    for psi in (make_gabcd(1, 2 + 1j, 3, 0.5), make_ln(4)):
-        few = discrete_stabilizer_search(psi, restarts=8, seed=seed)
-        many = discrete_stabilizer_search(psi, restarts=32, seed=seed)
+    # gabcd takes the exact path, L4 (T_12 proportional to the identity) the
+    # random one, L5 the circle path, whose 24 samples are then cut into chunks
+    for psi, t in ((make_gabcd(1, 2 + 1j, 3, 0.5), 1.0), (make_ln(4), 1.0), (make_ln(5), 1j)):
+        few = phase_stabilizer_search(psi, t, restarts=8, seed=seed)
+        many = phase_stabilizer_search(psi, t, restarts=32, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stabilizer, "_BATCH_BYTES", 5 * 16 * psi.dim)  # 5 rows a chunk
-            chunked = discrete_stabilizer_search(psi, restarts=32, seed=seed)
+            chunked = phase_stabilizer_search(psi, t, restarts=32, seed=seed)
+        assert many
         assert [c.factors.tolist() for c, _ in chunked] == [c.factors.tolist() for c, _ in many]
         for chain, _ in few:
             assert min(_chain_distance(chain.factors, other.factors)
@@ -328,13 +330,20 @@ def test_su2_lift_conjugates_paulis_by_the_rotation():
     assert np.max(abs(moved - np.einsum("rab,aij->rbij", rot, _PAULIS))) < 1e-12
 
 
+def analytic_hits(n, t):
+    """diag(a, conj a) with a^(2n - 2) = 1 and a^(n - 2) = t, one of each
+    pair a, -a: the symmetries u L_n = t L_n of this form, each factor up
+    to sign.  A sign on one factor moves t to -t, so a^(n - 2) = -t counts
+    as well, and the identity is no hit at t = 1."""
+    roots = np.exp(1j * np.pi * np.arange(n - 1) / (n - 1))  # a^(2n - 2) = 1, up to sign
+    return [np.diag([a, np.conj(a)]) for a in roots
+            if abs(a ** (2 * n - 4) - t * t) < 1e-9 and not (t == 1 and a == 1)]
+
+
 def has_analytic_hit(n, hits):
-    """Some hit is diag(a, conj a) on every qubit, each factor up to sign,
-    with a^(2n - 2) = 1 and a^(n - 2) = i."""
-    roots = np.exp(2j * np.pi * np.arange(2 * n - 2) / (2 * n - 2))
-    targets = [np.diag([a, np.conj(a)]) for a in roots if abs(a ** (n - 2) - 1j) < 1e-9]
+    """Some hit is an analytic symmetry of L_n at t = i."""
     return any(_chain_distance(chain.factors, d) < 1e-6
-               for chain, _ in hits for d in targets)
+               for chain, _ in hits for d in analytic_hits(n, 1j))
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -357,10 +366,110 @@ def test_start_paths(psi, path):
 @given(st.integers(1, 2**31 - 1))
 def test_exact_and_circle_hits_do_not_depend_on_seed(seed):
     gabcd, l5 = make_gabcd(1, 2 + 1j, 3, 0.5), make_ln(5)
-    for search in (lambda s: discrete_stabilizer_search(gabcd, seed=s),
-                   lambda s: phase_stabilizer_search(l5, 1j, seed=s)):
-        assert ([c.factors.tobytes() for c, _ in search(seed)]
-                == [c.factors.tobytes() for c, _ in search(0)])
+    for search in (lambda s, r=32: discrete_stabilizer_search(gabcd, restarts=r, seed=s),
+                   lambda s, r=32: phase_stabilizer_search(l5, 1j, restarts=r, seed=s)):
+        expected = [c.factors.tobytes() for c, _ in search(0)]
+        for restarts in (1, 8, 32):
+            assert [c.factors.tobytes() for c, _ in search(seed, restarts)] == expected
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+def test_ln_probe_finds_phase_witness_at_any_budget(n, restarts):
+    """Sampling the circle at 1 to 3 angles missed the witness at theta = pi,
+    and the probe returned inconclusive (f4_zero)."""
+    verdict = gtilde_triviality_probe(make_ln(n), restarts=restarts)
+    assert (verdict.verdict, verdict.failed_gate) == ("non_trivial", "phase_search")
+    assert verdict.probe.start_path == "pair_circle"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("t", [1.0, 1j, -1j])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_ln_hits_are_exactly_the_analytic_symmetries(n, t, seed):
+    """The circle path enumerates every symmetry of L_n at phase t, also
+    conjugated by a random local unitary k: the hits of k L_n are k d k^dag."""
+    k = sample_chain(n, "K", seed).factors
+    expected = analytic_hits(n, t)
+    for psi, moved in ((make_ln(n), expected),
+                       (apply_chain(LocalOperatorChain(k, "K"), make_ln(n)),
+                        [k @ d @ k.conj().swapaxes(-1, -2) for d in expected])):
+        assert_same_chains([c.factors for c, _ in phase_stabilizer_search(psi, t)], moved)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_circle_rows_start_on_their_hits(n, monkeypatch):
+    """Every swept circle row starts within 1e-12 of a hit, up to a factor
+    sign: the candidate angles are exact, so each hit costs one sweep."""
+    psi, starts, sweep = make_ln(n), [], stabilizer._sweep_rows
+
+    def recording(amplitudes, target, phases, factors, step):
+        starts.append((phases, factors.copy()))
+        return sweep(amplitudes, target, phases, factors, step)
+
+    monkeypatch.setattr(stabilizer, "_sweep_rows", recording)
+    for t in (1.0, 1j, -1j):
+        phase_stabilizer_search(psi, t)
+    assert starts
+    for phases, factors in starts:
+        for t, fac in zip(phases, factors):
+            out = apply_chain(LocalOperatorChain(fac, "K"), psi).amplitudes
+            assert min(np.linalg.norm(out - s * t * psi.amplitudes) for s in (1, -1)) <= 1e-12
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_circle_path_finds_the_exact_paths_symmetries(index, monkeypatch):
+    """Forcing a Haar four-qubit representative onto the circle path (a
+    gap tolerance between the two gaps of T_12) leaves h = sum ||R_k^T R_k
+    - I||^2 non-zero, so its zeros must yield the three Pauli-type hits."""
+    verdict = gtilde_triviality_probe(sample_haar_state(4, derive_rng(1, index, 0)))
+    rep = verdict.representative
+    sv = np.linalg.svd(_correlations(rep.amplitudes, 4)[0], compute_uv=False)
+    gaps = -np.diff(sv) / sv[0]
+    monkeypatch.setattr(stabilizer, "_GAP_TOL", np.sqrt(gaps[0] * gaps[1]))
+    assert _starts(rep, rep, 32, 0, True)[1] == "pair_circle"
+    found = discrete_stabilizer_search(rep)
+    assert_same_chains([c.factors for c, _ in found],
+                       [c.factors for c, _ in verdict.probe.discrete_candidates])
+
+
+def trig_poly(coef, theta, order=0):
+    """The order-th derivative of sum_k coef[k] e^(i k theta), k = -D..D."""
+    k = np.arange(coef.size) - coef.size // 2
+    return (np.exp(1j * np.outer(theta, k)) @ ((1j * k) ** order * coef)).real
+
+
+@pytest.mark.parametrize("degree,size", [(1, 4), (4, 10), (4, 18), (7, 16)])
+@pytest.mark.parametrize("seed", range(4))
+def test_critical_angles_match_dense_evaluation(degree, size, seed):
+    """Every sign change of f' on a dense grid holds a returned angle, and
+    f' vanishes at every returned angle; size / 2 - 1 may exceed the degree."""
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    coef = np.concatenate([half[::-1].conj(), [rng.standard_normal()], half])
+    theta = _critical_angles(trig_poly(coef, 2 * np.pi * np.arange(size) / size))
+    scale = np.abs(coef).sum() * degree
+    assert np.all(abs(trig_poly(coef, theta, 1)) < 1e-12 * scale)
+    grid = np.linspace(-np.pi, np.pi, 20001)
+    flips = np.nonzero(np.diff(np.sign(trig_poly(coef, grid, 1))))[0]
+    assert flips.size >= 2
+    for lo in flips:
+        assert np.any((np.mod(theta - grid[lo], 2 * np.pi) <= grid[1] - grid[0]))
+
+
+def test_critical_angles_of_a_constant():
+    assert _critical_angles(np.zeros(10)).tolist() == [0.0]
+    theta = _critical_angles(np.full(10, 0.7))
+    assert theta.size and np.all(np.isfinite(theta))
+
+
+def test_probe_computes_correlations_once(monkeypatch):
+    calls = []
+    tensors = stabilizer._correlations
+    monkeypatch.setattr(stabilizer, "_correlations", lambda *a: calls.append(1) or tensors(*a))
+    assert gtilde_triviality_probe(make_ln(5)).probe.start_path == "pair_circle"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("index", range(10))
