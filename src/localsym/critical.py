@@ -8,15 +8,16 @@ that qubit's reduced density, which never increases the norm.  Orbits
 without a critical point (the null cone) show up as monotone norm decay
 below threshold, or as a rank-deficient reduced density.
 
-The sweeps run on the raw amplitude vector: the reductions come from
-``states._reduction``, which divides by the trace instead of
-renormalizing, and the flattening factor of a 2x2 density has a closed
-form, so no state object is built and no eigensolver runs until the
-representative is returned.
+Both hold the amplitudes as a (2, 2**(n-1)) matrix t whose rows index
+one qubit, read its density [[a, c], [c*, b]] as the moments of one 2x2
+Gram matrix (``states._moments``) and roll the next qubit into the rows
+with ``t.T.reshape(2, -1)``.  Deviation from I/2 and flattening factor
+are closed forms in the moments, so no eigensolver runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,9 @@ from .states import (
     PureState,
     LocalOperatorChain,
     apply_chain,
-    apply_factor,
     sample_chain,
     derive_rng,
-    _reduction,
+    _moments,
     _require_normalized,
 )
 
@@ -37,7 +37,6 @@ __all__ = ["CriticalityReport", "ScalingResult", "criticality_report",
 
 _NULL_CONE_NORM_FRACTION = 1e-6
 _SINGULAR_RHO_EIG = 1e-14
-_HALF_EYE = 0.5 * np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -58,10 +57,15 @@ class ScalingResult:
     norm_trajectory: list[float]
 
 
-def _reductions(amp: np.ndarray, n: int) -> tuple[list[np.ndarray], list[float]]:
-    """Unit-trace reductions of all n qubits and their Frobenius deviations from I/2."""
-    rhos = [_reduction(amp, k) for k in range(n)]
-    return rhos, [float(np.linalg.norm(rho - _HALF_EYE)) for rho in rhos]
+def _deviations(t: np.ndarray, n: int) -> tuple[list, list[float]]:
+    """Moments (a, b, c) of qubits 0..n-1 of t, each rolled into the rows in
+    turn, and the deviations ||rho / s - I/2||_F of rho = [[a, c], [c*, b]]."""
+    moments = []
+    for _ in range(n):
+        moments.append(_moments(t))
+        t = t.T.reshape(2, -1)
+    return moments, [math.sqrt(0.5 * (a - b) ** 2 + 2 * abs(c) ** 2) / (a + b)
+                     for a, b, c in moments]
 
 
 def criticality_report(psi: PureState, tol: float = 1e-10) -> CriticalityReport:
@@ -69,13 +73,14 @@ def criticality_report(psi: PureState, tol: float = 1e-10) -> CriticalityReport:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     _require_normalized(psi)
-    _, devs = _reductions(psi.amplitudes, psi.n)
+    _, devs = _deviations(psi.amplitudes.reshape(2, -1), psi.n)
     mx = max(devs)
     return CriticalityReport(devs, mx, tol, mx <= tol)
 
 
-def _flattening_factor(rho: np.ndarray) -> np.ndarray | None:
-    """Determinant-one positive g with g rho g ~ I/2; None if rho is singular.
+def _flattening_factor(a: float, b: float, c: complex) -> np.ndarray | None:
+    """Determinant-one positive g with g rho g ~ I/2 for rho = [[a, c], [c*, b]]
+    of any trace; None if rho is singular.
 
     g = (rho / sqrt(d))**(-1/2) = ((s + sqrt(d)) I - rho) / (d**(1/4) sqrt(s + 2 sqrt(d)))
     for trace s and determinant d, by Cayley-Hamilton on 2x2 matrices.
@@ -83,14 +88,15 @@ def _flattening_factor(rho: np.ndarray) -> np.ndarray | None:
     cancellation in s/2 - sqrt(s**2/4 - d); s**2/4 - d is summed as
     ((a - b)/2)**2 + |c|**2, which cannot round below zero.
     """
-    a, b, c = rho[0, 0].real, rho[1, 1].real, rho[0, 1]
     s = a + b
     d = a * b - abs(c) ** 2
-    lam_max = 0.5 * s + np.sqrt(0.25 * (a - b) ** 2 + abs(c) ** 2)
-    if d / lam_max < _SINGULAR_RHO_EIG:
+    lam_max = 0.5 * s + math.sqrt(0.25 * (a - b) ** 2 + abs(c) ** 2)
+    if d / lam_max < _SINGULAR_RHO_EIG * s:  # lambda_min of the unit-trace rho
         return None
-    root = np.sqrt(d)
-    return ((s + root) * np.eye(2) - rho) / (np.sqrt(root) * np.sqrt(s + 2 * root))
+    root = math.sqrt(d)
+    scale = 1.0 / (math.sqrt(root) * math.sqrt(s + 2 * root))
+    return np.array([[(b + root) * scale, -c * scale],
+                     [-c.conjugate() * scale, (a + root) * scale]])
 
 
 def scale_to_critical(psi: PureState, tol: float = 1e-10,
@@ -102,6 +108,9 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     taken at unit trace, are within ``tol`` of I/2 in Frobenius norm.
     A run whose norm falls below 1e-6 of the initial norm, or that hits
     a numerically singular reduced density, is declared ``null_cone``.
+    Each step is one matmul that applies the factor and rolls the next
+    qubit into the rows; a sweep's factors enter the chain in one batched
+    matmul, at a null-cone exit within it only those already applied.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -110,36 +119,38 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     _require_normalized(psi)
     n = psi.n
     initial_norm = psi.norm()
-    work = psi.amplitudes
+    t = psi.amplitudes.reshape(2, -1)
     acc = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    steps = np.empty_like(acc)
     trajectory = [initial_norm]
 
     def finish(status, sweeps):
         chain = LocalOperatorChain(acc, "G")
         if status == "converged":
-            nrm = np.linalg.norm(work)
-            rep, scalar = PureState(n, work / nrm), 1.0 / nrm
+            nrm = np.linalg.norm(t)
+            rep, scalar = PureState(n, t.reshape(-1) / nrm), 1.0 / nrm
         else:
             rep, scalar = None, 1.0 + 0j
         return ScalingResult(rep, chain, complex(scalar), sweeps, status, trajectory)
 
     for sweep in range(max_iter + 1):
-        rhos, devs = _reductions(work, n)
+        moments, devs = _deviations(t, n)
         if max(devs) <= tol:
             return finish("converged", sweep)
         if sweep == max_iter:
             return finish("max_iter", sweep)
         for k in range(n):
             # qubit 0 still sees the state the convergence check saw
-            g = _flattening_factor(rhos[0] if k == 0 else _reduction(work, k))
+            g = _flattening_factor(*(moments[0] if k == 0 else _moments(t)))
             if g is None:
+                acc[:k] = steps[:k] @ acc[:k]
                 return finish("null_cone", sweep)
-            work = apply_factor(g, work, k)
-            acc[k] = g @ acc[k]
-        trajectory.append(float(np.linalg.norm(work)))
+            steps[k] = g
+            t = (t.T @ g.T).reshape(2, -1)
+        acc = steps @ acc
+        trajectory.append(float(np.linalg.norm(t)))
         if trajectory[-1] < _NULL_CONE_NORM_FRACTION * initial_norm:
             return finish("null_cone", sweep + 1)
-    return finish("max_iter", max_iter)
 
 
 def min_norm_probe(phi: PureState, trials: int = 100, seed: int = 0) -> float:

@@ -218,9 +218,13 @@ def _critical_angles(samples: np.ndarray) -> np.ndarray:
     """Critical points of the real trigonometric polynomial f of degree
     D = len(samples) / 2 - 1 sampled at 2D + 2 equispaced angles from 0:
     the roots z = exp(i theta) of the degree-2D polynomial z^D f'(theta),
-    each polished by Newton steps on f'.  A constant f gives theta = 0."""
+    each polished by Newton steps on f'.  Outer coefficients of f' below
+    1e-12 max(1, max|f|), rounding noise of a lower true degree that would
+    push roots off the unit circle, are dropped.  A constant f gives theta = 0."""
     k = np.arange(1 - samples.size // 2, samples.size // 2)  # -D..D
     d1 = 1j * k * np.fft.fft(samples)[k] / samples.size  # coefficients of f'
+    top = max(abs(k[abs(d1) >= 1e-12 * max(1.0, np.max(abs(samples)))]), default=0)
+    k, d1 = k[abs(k) <= top], d1[abs(k) <= top]
     z = np.roots(d1[::-1])
     theta = np.angle(z[abs(abs(z) - 1.0) < _ROOT_RING])
     with np.errstate(divide="ignore", invalid="ignore"):

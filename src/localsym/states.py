@@ -230,17 +230,11 @@ def _require_normalized(psi: PureState) -> None:
         raise ValueError(f"state must be normalized, got norm {nrm!r}")
 
 
-def _reduction(amp: np.ndarray, k: int) -> np.ndarray:
-    """Reduced density of qubit k (0-based) of flat amplitudes, unit trace.
-
-    The Hermitian-symmetrized partial trace is divided by its own trace,
-    which equals ||amp||^2, so an unnormalized amp gives the reduction of
-    the normalized state without a renormalized copy.
-    """
-    t = amp.reshape(2**k, 2, -1).swapaxes(0, 1).reshape(2, -1)
-    rho = t @ t.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / rho.trace().real
+def _moments(t: np.ndarray) -> tuple[float, float, complex]:
+    """(a, b, c) of the Gram matrix t t^dag = [[a, c], [c*, b]] of a (2, m) matrix
+    whose rows index one qubit: its reduced density times ||t||^2, no copy needed."""
+    (a, c), (_, b) = (t @ t.conj().T).tolist()
+    return a.real, b.real, c
 
 
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -265,7 +259,8 @@ def reduced_density(psi: PureState, k: int) -> np.ndarray:
         raise ValueError(f"qubit index {k} out of range 1..{psi.n}")
     if not psi.amplitudes.any():
         raise ValueError("the zero vector has no reduced density")
-    return _reduction(psi.amplitudes, k - 1)
+    a, b, c = _moments(psi.amplitudes.reshape(2**(k - 1), 2, -1).swapaxes(0, 1).reshape(2, -1))
+    return np.array([[a, c], [c.conjugate(), b]]) / (a + b)
 
 
 def fidelity(psi: PureState, phi: PureState) -> float:

@@ -135,11 +135,73 @@ def test_flattening_factor_matches_eigh_reference(log_ratio, log_scale, vec):
     # rounding rho moves the exact factor by about eps * lam_max / lam_min,
     # for this formula and the eigh one alike
     tol = 1e-12 + 1e-14 * 10.0**-log_ratio
-    g = _flattening_factor(rho)
+    g = _flattening_factor(rho[0, 0].real, rho[1, 1].real, rho[0, 1])
     assert abs(np.linalg.det(g) - 1.0) < tol
     flat = g @ rho @ g
     np.testing.assert_allclose(flat / np.trace(flat).real, np.eye(2) / 2, atol=tol)
     np.testing.assert_allclose(g, eigh_flattening_reference(rho), atol=tol)
+
+
+def einsum_reduction(amp, k):
+    """Unit-trace reduced density of qubit k (0-based) by an einsum partial trace."""
+    t = amp.reshape(2**k, 2, -1)
+    rho = np.einsum("aib,ajb->ij", t, t.conj())
+    return rho / np.trace(rho).real
+
+
+def reference_scaling(psi, tol, max_iter):
+    """The sweep on the flat amplitude vector with einsum reductions and eigh
+    factors, under the same stop rules: (status, iterations, representative,
+    chain, norm trajectory)."""
+    n, amp = psi.n, psi.amplitudes
+    acc = np.array([np.eye(2, dtype=complex)] * n)
+    trajectory = [np.linalg.norm(amp)]
+    for sweep in range(max_iter + 1):
+        rhos = [einsum_reduction(amp, k) for k in range(n)]
+        if max(np.linalg.norm(rho - np.eye(2) / 2) for rho in rhos) <= tol:
+            return "converged", sweep, amp / np.linalg.norm(amp), acc, trajectory
+        if sweep == max_iter:
+            return "max_iter", sweep, None, acc, trajectory
+        for k in range(n):
+            rho = rhos[0] if k == 0 else einsum_reduction(amp, k)
+            if np.linalg.eigvalsh(rho)[0] < 1e-14:
+                return "null_cone", sweep, None, acc, trajectory
+            g = eigh_flattening_reference(rho)
+            amp = np.einsum("ij,ajb->aib", g, amp.reshape(2**k, 2, -1)).reshape(-1)
+            acc[k] = g @ acc[k]
+        trajectory.append(np.linalg.norm(amp))
+        if trajectory[-1] < 1e-6 * trajectory[0]:
+            return "null_cone", sweep + 1, None, acc, trajectory
+
+
+PARITY_CASES = {
+    **{f"haar{n}-{seed}": (sample_haar_state(n, seed), 10_000)
+       for n in range(1, 9) for seed in range(3)},
+    "w3": (make_w(3), 10_000),
+    "product": (PureState(2, np.kron([0.8, 0.6j], [1.0, 0.0])), 10_000),
+    # 0.8|000> + 0.6|101>: qubit 0 is flattened, then qubit 1 is singular,
+    # a null-cone exit within a sweep
+    "mid-sweep": (PureState(3, np.eye(8)[0] * 0.8 + np.eye(8)[5] * 0.6), 10_000),
+    "schmidt": (PureState(2, np.array([0.9, 0, 0, np.sqrt(1 - 0.81)])), 10_000),
+    "max-iter-0": (sample_haar_state(5, 3), 0),
+    "max-iter-1": (sample_haar_state(5, 3), 1),
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_scaling_matches_flat_vector_reference(case):
+    psi, max_iter = PARITY_CASES[case]
+    result = scale_to_critical(psi, tol=1e-11, max_iter=max_iter)
+    status, iterations, rep, chain, trajectory = reference_scaling(psi, 1e-11, max_iter)
+    assert (result.status, result.iterations) == (status, iterations)
+    np.testing.assert_allclose(result.norm_trajectory, trajectory, rtol=0, atol=1e-12)
+    # null-cone chains grow as the norm decays, so compare them at their own scale
+    scale = max(1.0, np.max(abs(chain)))
+    np.testing.assert_allclose(result.accumulated_chain.factors, chain, rtol=0, atol=1e-12 * scale)
+    if rep is None:
+        assert result.representative is None
+    else:
+        np.testing.assert_allclose(result.representative.amplitudes, rep, rtol=0, atol=1e-12)
 
 
 def test_scale_requires_normalized():

@@ -203,23 +203,23 @@ def test_probe_rejects_empty_budget_at_entry(psi, budget, message):
         gtilde_triviality_probe(psi, **budget)
 
 
-def count_reductions(monkeypatch, call) -> int:
+def count_moments(monkeypatch, call) -> int:
     calls = []
-    kernel = critical._reduction
-    monkeypatch.setattr(critical, "_reduction", lambda *a: calls.append(1) or kernel(*a))
+    kernel = critical._moments
+    monkeypatch.setattr(critical, "_moments", lambda *a: calls.append(1) or kernel(*a))
     call()
     return len(calls)
 
 
 def test_search_preconditions_compute_reductions_once(monkeypatch):
-    """One criticality check per search: n one-qubit densities, not 2n."""
+    """One criticality check per search: n one-qubit moments, not 2n."""
     gabcd, l5 = make_gabcd(1, 2 + 1j, 3, 0.5), make_ln(5)
-    assert count_reductions(monkeypatch, lambda: discrete_stabilizer_search(
+    assert count_moments(monkeypatch, lambda: discrete_stabilizer_search(
         gabcd, restarts=1)) == 4
-    assert count_reductions(monkeypatch, lambda: phase_stabilizer_search(
+    assert count_moments(monkeypatch, lambda: phase_stabilizer_search(
         l5, 1j, restarts=1)) == 5
     # L5 is critical, so scaling stops at its first check and nothing re-checks it
-    assert count_reductions(monkeypatch, lambda: gtilde_triviality_probe(
+    assert count_moments(monkeypatch, lambda: gtilde_triviality_probe(
         l5, restarts=1)) == 5
 
 
@@ -387,6 +387,7 @@ def test_ln_probe_finds_phase_witness_at_any_budget(n, restarts):
 @pytest.mark.parametrize("t", [1.0, 1j, -1j])
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
+@example(seed=10227)  # L7 at t = i: rounding noise in the top coefficients hid theta = pi
 def test_ln_hits_are_exactly_the_analytic_symmetries(n, t, seed):
     """The circle path enumerates every symmetry of L_n at phase t, also
     conjugated by a random local unitary k: the hits of k L_n are k d k^dag."""
@@ -456,6 +457,20 @@ def test_critical_angles_match_dense_evaluation(degree, size, seed):
     assert flips.size >= 2
     for lo in flips:
         assert np.any((np.mod(theta - grid[lo], 2 * np.pi) <= grid[1] - grid[0]))
+
+
+@pytest.mark.parametrize("size_degree", [4, 5, 6, 7, 8])
+def test_critical_angles_of_degree_deficient_polynomials(size_degree):
+    """cos(d (theta - theta0)) with d < D sampled for degree D: all 2d
+    critical points, although the top coefficients of f' are rounding noise."""
+    rng = np.random.default_rng(size_degree)
+    size = 2 * size_degree + 2
+    for _ in range(100):
+        d, theta0 = rng.integers(1, size_degree), rng.uniform(0, 2 * np.pi)
+        theta = _critical_angles(np.cos(d * (2 * np.pi * np.arange(size) / size - theta0)))
+        expected = theta0 + np.pi * np.arange(2 * d) / d
+        gaps = abs(np.angle(np.exp(1j * (theta[:, None] - expected))))
+        assert np.max(np.min(gaps, axis=0)) < 1e-9
 
 
 def test_critical_angles_of_a_constant():
