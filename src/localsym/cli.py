@@ -77,7 +77,7 @@ def _load(read, path: str, kind: str):
     """read(path), with any file or format error as a CliError naming the kind of file."""
     try:
         return read(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
@@ -174,11 +174,8 @@ def _plan_payload(plan) -> dict:
         "target": state_to_dict(plan.target),
     }
     if plan.measurements is not None:
-        payload["measurements"] = [
-            {"N0": [[complex_pair(z) for z in row] for row in n0],
-             "N1": [[complex_pair(z) for z in row] for row in n1]}
-            for n0, n1 in plan.measurements
-        ]
+        payload["measurements"] = [{"N0": complex_pair(n0), "N1": complex_pair(n1)}
+                                   for n0, n1 in plan.measurements]
     return payload
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +14,13 @@ from localsym import LocalOperatorChain
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
 )
+
+
+def l5_chain():
+    """diag(2, 1/2) on qubit 1: p_max(L5) = 17/32."""
+    factors = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
+    factors[0] = np.diag([2.0, 0.5])
+    return LocalOperatorChain(factors, "G")
 
 
 def run(argv, capsys=None):
@@ -148,9 +156,7 @@ def test_pmax_and_protocol(tmp_path, capsys):
     state = tmp_path / "l5.json"
     chain = tmp_path / "g.json"
     write_state(make_ln(5), state)
-    factors = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
-    factors[0] = np.diag([2.0, 0.5])
-    write_chain(LocalOperatorChain(factors, "G"), chain)
+    write_chain(l5_chain(), chain)
 
     code, doc = run(["pmax", str(state), str(chain), "--stabilizer", "trivial"],
                     capsys)
@@ -166,6 +172,65 @@ def test_pmax_and_protocol(tmp_path, capsys):
     sim = doc["payload"]["simulation"]
     assert sim["trials"] == 2000
     assert abs(sim["empirical_p"] - 17 / 32) < 0.05
+
+
+def test_protocol_trials_take_constant_time(tmp_path, capsys):
+    write_state(make_ln(5), tmp_path / "l5.json")
+    write_chain(l5_chain(), tmp_path / "c.json")
+    argv = ["protocol", str(tmp_path / "l5.json"), str(tmp_path / "c.json")]
+    start = time.perf_counter()
+    code, doc = run([*argv, "--trials", "1000000000000"], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert abs(doc["payload"]["simulation"]["empirical_p"] - 17 / 32) < 1e-5
+    assert main([*argv, "--trials", "9223372036854775808"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind,edit", [
+    pytest.param("chain", lambda c: c.update(factors=c["factors"][:4]),
+                 id="fewer-factors-than-n"),
+    pytest.param("chain", lambda c: c.update(factors=c["factors"] + c["factors"][:1]),
+                 id="more-factors-than-n"),
+    pytest.param("chain", lambda c: c.update(factors=[[[[1], [0]], [[0], [1]]]] * 5),
+                 id="one-number-pairs"),
+    pytest.param("chain", lambda c: c.update(scalar=[1]), id="one-number-scalar"),
+    pytest.param("chain", lambda c: c["factors"][0][0].__setitem__(0, [10**400, 0]),
+                 id="int-beyond-float-range"),
+    pytest.param("chain", lambda c: c["factors"][2][0].__setitem__(1, [float("nan"), 0]),
+                 id="nan-entry"),
+    pytest.param("state", lambda s: s["amplitudes"].__setitem__(0, [10**400, 0]),
+                 id="state-int-beyond-float-range"),
+    pytest.param("state", lambda s: s["amplitudes"].__setitem__(0, [1]),
+                 id="state-one-number-pair"),
+    pytest.param("state", lambda s: s.update(n=10**8), id="state-huge-n"),
+    pytest.param("state", lambda s: s.update(n=float("inf")), id="state-infinite-n"),
+    pytest.param("state", lambda s: s.update(n=5.5), id="state-fractional-n"),
+    pytest.param("chain", lambda c: c.update(n=5.5), id="fractional-n"),
+])
+def test_malformed_files_exit_one_without_traceback(kind, edit, tmp_path, capsys):
+    state, chain = tmp_path / "l5.json", tmp_path / "c.json"
+    write_state(make_ln(5), state)
+    write_chain(l5_chain(), chain)
+    path = {"state": state, "chain": chain}[kind]
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    assert main(["pmax", str(state), str(chain)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {kind} file")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_deeply_nested_file_exits_one_without_traceback(tmp_path, capsys):
+    state = tmp_path / "deep.json"
+    state.write_text('{"n": 1, "amplitudes": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    assert main(["analyze", str(state)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read state file") and "Traceback" not in err
 
 
 def test_pmax_chain_length_mismatch(tmp_path, capsys):
@@ -226,9 +291,7 @@ def test_report_echoes_parameters(argv, parameters, tmp_path, monkeypatch, capsy
     """The echo is every parsed argument but the output paths, in declaration order."""
     monkeypatch.chdir(tmp_path)
     write_state(make_ln(5), "l5.json")
-    factors = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
-    factors[0] = np.diag([2.0, 0.5])
-    write_chain(LocalOperatorChain(factors, "G"), "c.json")
+    write_chain(l5_chain(), "c.json")
     _, doc = run(argv, capsys)
     check_envelope(doc)
     assert doc["command"] == argv[0]

@@ -18,8 +18,6 @@ from localsym import (
     sample_haar_state,
 )
 
-from localsym import convert
-
 from conftest import kron_all
 
 
@@ -143,13 +141,24 @@ def test_simulation_deterministic():
     assert a.successes == b.successes
 
 
-def test_simulation_in_blocks_keeps_the_random_stream(monkeypatch):
+def test_simulation_takes_any_int64_trial_count():
     psi = make_ln(5)
     plan = build_protocol(psi, diag_chain_l5())
-    whole = {t: simulate_protocol(plan, psi, t, seed=6) for t in (0, 1, 50, 1000)}
-    monkeypatch.setattr(convert, "_TRIAL_BLOCK", 7)
-    for trials, stats in whole.items():
-        assert simulate_protocol(plan, psi, trials, seed=6) == stats
+    stats = simulate_protocol(plan, psi, 2**63 - 1, seed=6)
+    assert abs(stats.empirical_p - 17 / 32) < 1e-6
+    with pytest.raises(ValueError, match="at most"):
+        simulate_protocol(plan, psi, 2**63)
+
+
+def test_local_unitary_protocol_always_succeeds():
+    # prod_j cond_p_j is 1 up to rounding and exceeds 1 by a few ulps for
+    # about a third of these states; the draw must clip it, not raise
+    for s in range(20):
+        n = 3 + s % 4
+        psi = sample_haar_state(n, s)
+        plan = build_protocol(psi, sample_chain(n, "Kt", 100 + s))
+        stats = simulate_protocol(plan, psi, 10**6, seed=s)
+        assert stats.successes == stats.trials
 
 
 def test_simulation_requires_measurements():
