@@ -12,7 +12,8 @@ Both hold the amplitudes as a (2, 2**(n-1)) matrix t whose rows index
 one qubit, read its density [[a, c], [c*, b]] as the moments of one 2x2
 Gram matrix (``states._moments``) and roll the next qubit into the rows
 with ``t.T.reshape(2, -1)``.  Deviation from I/2 and flattening factor
-are closed forms in the moments, so no eigensolver runs.
+are closed forms in the moments, so no eigensolver runs, and the
+scaling's convergence check stops at the first qubit outside tolerance.
 """
 
 from __future__ import annotations
@@ -57,15 +58,13 @@ class ScalingResult:
     norm_trajectory: list[float]
 
 
-def _deviations(t: np.ndarray, n: int) -> tuple[list, list[float]]:
-    """Moments (a, b, c) of qubits 0..n-1 of t, each rolled into the rows in
-    turn, and the deviations ||rho / s - I/2||_F of rho = [[a, c], [c*, b]]."""
-    moments = []
+def _deviations(t: np.ndarray, n: int):
+    """Lazily, for qubit 0, 1, ... of t as each is rolled into the rows: the
+    moments (a, b, c) and deviation ||rho / s - I/2||_F of rho = [[a, c], [c*, b]]."""
     for _ in range(n):
-        moments.append(_moments(t))
+        a, b, c = moments = _moments(t)
+        yield moments, math.sqrt(0.5 * (a - b) ** 2 + 2 * abs(c) ** 2) / (a + b)
         t = t.T.reshape(2, -1)
-    return moments, [math.sqrt(0.5 * (a - b) ** 2 + 2 * abs(c) ** 2) / (a + b)
-                     for a, b, c in moments]
 
 
 def criticality_report(psi: PureState, tol: float = 1e-10) -> CriticalityReport:
@@ -73,7 +72,7 @@ def criticality_report(psi: PureState, tol: float = 1e-10) -> CriticalityReport:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     _require_normalized(psi)
-    _, devs = _deviations(psi.amplitudes.reshape(2, -1), psi.n)
+    devs = [dev for _, dev in _deviations(psi.amplitudes.reshape(2, -1), psi.n)]
     mx = max(devs)
     return CriticalityReport(devs, mx, tol, mx <= tol)
 
@@ -105,7 +104,8 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
 
     Sweeps qubits cyclically, flattening one reduced density per step.
     Convergence is declared when all reductions of the running state,
-    taken at unit trace, are within ``tol`` of I/2 in Frobenius norm.
+    taken at unit trace, are within ``tol`` of I/2 in Frobenius norm,
+    checked from qubit 0 (whose moments step 0 reuses) to the first that is not.
     A run whose norm falls below 1e-6 of the initial norm, or that hits
     a numerically singular reduced density, is declared ``null_cone``.
     Each step is one matmul that applies the factor and rolls the next
@@ -134,14 +134,15 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
         return ScalingResult(rep, chain, complex(scalar), sweeps, status, trajectory)
 
     for sweep in range(max_iter + 1):
-        moments, devs = _deviations(t, n)
-        if max(devs) <= tol:
+        devs = _deviations(t, n)
+        first, dev = next(devs)
+        if dev <= tol and all(d <= tol for _, d in devs):
             return finish("converged", sweep)
         if sweep == max_iter:
             return finish("max_iter", sweep)
         for k in range(n):
             # qubit 0 still sees the state the convergence check saw
-            g = _flattening_factor(*(moments[0] if k == 0 else _moments(t)))
+            g = _flattening_factor(*(first if k == 0 else _moments(t)))
             if g is None:
                 acc[:k] = steps[:k] @ acc[:k]
                 return finish("null_cone", sweep)

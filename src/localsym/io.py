@@ -9,8 +9,8 @@ Chain file: {"n": int, "group": "G"|"K"|"Gt"|"Kt",
 Complex arrays are written and read whole, with repr-exact doubles, so
 a round trip is bit-exact (signed zeros and subnormals included).
 Readers reject a non-integer ``n``, non-numeric or non-finite values,
-pairs that are not two numbers, and amplitude or factor counts other
-than ``n`` declares.
+JSON booleans in either, pairs that are not two numbers, and amplitude
+or factor counts other than ``n`` declares.
 """
 
 from __future__ import annotations
@@ -47,7 +47,16 @@ def _complex_array(data, shape: tuple, field: str) -> np.ndarray:
         raise ValueError(f"{field}: expected finite numbers")
     if pairs.shape != (*shape, 2):
         raise ValueError(f"{field}: expected shape {(*shape, 2)}, got {pairs.shape}")
+    # np.array reads a JSON boolean among numbers as 0 or 1
+    if ((pairs == 0) | (pairs == 1)).any() and bool in map(type, np.array(data, object).flat):
+        raise ValueError(f"{field}: expected numbers, got a boolean")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
+def _declared_n(data: dict) -> int:
+    if isinstance(data["n"], bool):  # operator.index(True) is 1
+        raise ValueError("n: expected an integer, got a boolean")
+    return operator.index(data["n"])
 
 
 def state_to_dict(psi: PureState) -> dict:
@@ -55,7 +64,7 @@ def state_to_dict(psi: PureState) -> dict:
 
 
 def state_from_dict(data: dict) -> PureState:
-    n = operator.index(data["n"])
+    n = _declared_n(data)
     count = len(data["amplitudes"])
     # compare exponents first: the file's n is not trusted to form 2**n
     if n != count.bit_length() - 1 or count != 2**n:
@@ -81,7 +90,7 @@ def chain_to_dict(chain: LocalOperatorChain) -> dict:
 
 
 def chain_from_dict(data: dict) -> LocalOperatorChain:
-    n = operator.index(data["n"])
+    n = _declared_n(data)
     factors = _complex_array(data["factors"], (n, 2, 2), "factors")
     scalar = _complex_array(data.get("scalar", [1.0, 0.0]), (), "scalar")
     return LocalOperatorChain(factors, data["group"], scalar=complex(scalar))

@@ -164,20 +164,24 @@ def _sweep_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray,
     Returns ``factors`` (rows, n, 2, 2), updated in place, and the
     residuals ||u_r psi - t_r target||.  chi = u psi is held, so updating
     qubit k costs one overlap, C = u_k^dag <target|chi>_k, and one apply.
-    A row stops below 1e-14 or after 8 stalled sweeps and leaves the batch.
+    A row stops below 1e-14, also tested before the first sweep (a row
+    starting on a hit keeps its start), or after 8 stalled sweeps.
     """
     rows, n = factors.shape[:2]
     chi = np.broadcast_to(psi, (rows, psi.size))
     for k in range(n):
         chi = apply_factor(factors[:, k], chi, k)
+    want = phases[:, None] * target
+    residual = np.linalg.norm(chi - want, axis=1)
+    live = np.flatnonzero(residual >= 1e-14)
+    if not live.size:
+        return factors, residual
     # conj(target) with qubit k last: <target|chi> on qubit k is one matmul
     bra = [target.conj().reshape(2**k, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
            for k in range(n)]
-    want = phases[:, None] * target
-    tbar = phases.conj()[:, None, None]
-    live, fac = np.arange(rows), factors.copy()
-    prev, stalls = np.full(rows, np.inf), np.zeros(rows, dtype=int)
-    residual = np.empty(rows)
+    chi, want, fac = chi[live], want[live], factors[live]
+    tbar = phases[live].conj()[:, None, None]
+    prev, stalls = np.full(live.size, np.inf), np.zeros(live.size, dtype=int)
     for sweep in range(1000):
         for k in range(n):
             x = chi.reshape(live.size, 2**k, 2, -1).transpose(0, 2, 1, 3)
@@ -268,7 +272,7 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
                                   for r in range(restarts)]), special), "random"
     path = "pair_circle" if equal.any() else "pair_exact"
     dst = src if target is psi else _correlations(target.amplitudes, target.n)
-    a, s, a2 = a[0], s[0], np.linalg.svd(dst[0])[0]
+    a, s, a2 = a[0], s[0], a[0] if target is psi else np.linalg.svd(dst[0])[0]
     det = np.linalg.det(a) * np.linalg.det(a2)
 
     def rotations(p: np.ndarray) -> np.ndarray:  # (rows, n, 3, 3): R_1, R_2, ..., R_n

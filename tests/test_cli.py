@@ -209,6 +209,15 @@ def test_protocol_trials_take_constant_time(tmp_path, capsys):
     pytest.param("state", lambda s: s.update(n=float("inf")), id="state-infinite-n"),
     pytest.param("state", lambda s: s.update(n=5.5), id="state-fractional-n"),
     pytest.param("chain", lambda c: c.update(n=5.5), id="fractional-n"),
+    pytest.param("state", lambda s: s.update(n=True, amplitudes=s["amplitudes"][:2]),
+                 id="state-boolean-n"),
+    pytest.param("chain", lambda c: c.update(n=True, factors=c["factors"][:1]),
+                 id="boolean-n"),
+    pytest.param("state", lambda s: s["amplitudes"].__setitem__(0, [False, 0.0]),
+                 id="state-boolean-in-pair"),
+    pytest.param("chain", lambda c: c["factors"][1][0].__setitem__(0, [True, 0.0]),
+                 id="boolean-in-pair"),
+    pytest.param("chain", lambda c: c.update(scalar=[True, 0]), id="boolean-scalar"),
 ])
 def test_malformed_files_exit_one_without_traceback(kind, edit, tmp_path, capsys):
     state, chain = tmp_path / "l5.json", tmp_path / "c.json"

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from localsym import (
     PureState,
@@ -14,6 +16,7 @@ from localsym import (
     sample_haar_state,
 )
 from localsym.critical import _flattening_factor
+from localsym.states import _moments
 
 
 def reconstruct(psi, result):
@@ -202,6 +205,61 @@ def test_scaling_matches_flat_vector_reference(case):
         assert result.representative is None
     else:
         np.testing.assert_allclose(result.representative.amplitudes, rep, rtol=0, atol=1e-12)
+
+
+def eager_scaling(psi, tol, max_iter):
+    """``scale_to_critical`` with an eager convergence check, all n deviations
+    every sweep, in the same float operations: (status, iterations,
+    trajectory, chain, representative, scalar)."""
+    n, t = psi.n, psi.amplitudes.reshape(2, -1)
+    acc = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    steps = np.empty_like(acc)
+    trajectory = [psi.norm()]
+
+    def finish(status, sweeps):
+        if status != "converged":
+            return status, sweeps, trajectory, acc, None, 1.0 + 0j
+        nrm = np.linalg.norm(t)
+        return status, sweeps, trajectory, acc, t.reshape(-1) / nrm, complex(1.0 / nrm)
+
+    for sweep in range(max_iter + 1):
+        moments, u = [], t
+        for _ in range(n):
+            moments.append(_moments(u))
+            u = u.T.reshape(2, -1)
+        if max(math.sqrt(0.5 * (a - b) ** 2 + 2 * abs(c) ** 2) / (a + b)
+               for a, b, c in moments) <= tol:
+            return finish("converged", sweep)
+        if sweep == max_iter:
+            return finish("max_iter", sweep)
+        for k in range(n):
+            g = _flattening_factor(*(moments[0] if k == 0 else _moments(t)))
+            if g is None:
+                acc[:k] = steps[:k] @ acc[:k]
+                return finish("null_cone", sweep)
+            steps[k] = g
+            t = (t.T @ g.T).reshape(2, -1)
+        acc = steps @ acc
+        trajectory.append(float(np.linalg.norm(t)))
+        if trajectory[-1] < 1e-6 * trajectory[0]:
+            return finish("null_cone", sweep + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(sample_haar_state, st.integers(1, 8), st.integers(0, 2**32 - 1)),
+       st.sampled_from([1e-10, 1e-11]), st.sampled_from([0, 1, 10_000]))
+# flat on qubits 0 and 1 only: a check that skips the last qubit converges at once
+@example(PureState(3, np.kron(make_ln(2).amplitudes, [0.6, 0.8])), 1e-11, 10_000)
+def test_lazy_convergence_check_is_bitwise_eager(psi, tol, max_iter):
+    result = scale_to_critical(psi, tol=tol, max_iter=max_iter)
+    status, iterations, trajectory, chain, rep, scalar = eager_scaling(psi, tol, max_iter)
+    assert (result.status, result.iterations, result.scalar) == (status, iterations, scalar)
+    assert result.norm_trajectory == trajectory
+    assert result.accumulated_chain.factors.tobytes() == chain.tobytes()
+    if rep is None:
+        assert result.representative is None
+    else:
+        assert result.representative.amplitudes.tobytes() == rep.tobytes()
 
 
 def test_scale_requires_normalized():

@@ -20,9 +20,9 @@ from localsym import (
 )
 
 from localsym import critical, stabilizer
-from localsym.states import _PAULIS, _correlations, derive_rng
-from localsym.stabilizer import (_DEDUP_RADIUS, _chain_distance, _critical_angles, _starts,
-                                 _su2_lift, _su2_step, _u2_step)
+from localsym.states import _PAULIS, _correlations, _ginibre, _haar_u2, derive_rng
+from localsym.stabilizer import (_DEDUP_RADIUS, _chain_distance, _critical_angles, _overlaps,
+                                 _starts, _su2_lift, _su2_step, _sweep_rows, _u2_step)
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -297,6 +297,48 @@ def test_search_rows_do_not_depend_on_batch_size(seed):
                        for other, _ in many) < _DEDUP_RADIUS
 
 
+def l5_hit_row():
+    """The circle-path start row of L5 on its hit at t = i."""
+    psi = make_ln(5)
+    start, path = _starts(psi, psi, 32, 0, True)
+    assert path == "pair_circle"
+    return psi, start[np.argmax((-1j * _overlaps(start, psi, psi)).real)]
+
+
+def test_rows_starting_on_a_hit_keep_their_start():
+    psi, row = l5_hit_row()
+    start = np.stack([row, _haar_u2(_ginibre(derive_rng(0), (5,)), True)])
+    factors, residual = _sweep_rows(psi.amplitudes, psi.amplitudes, np.array([1j, 1j]),
+                                    start.copy(), _su2_step)
+    assert factors[0].tobytes() == start[0].tobytes()
+    assert residual[0] < 1e-14
+    assert not np.array_equal(factors[1], start[1])  # the Haar row is swept
+
+
+def test_circle_row_started_off_its_hit_is_swept_onto_it():
+    psi, row = l5_hit_row()
+    row[0] = np.diag(np.exp([-1e-12j, 1e-12j])) @ row[0]
+    out = apply_chain(LocalOperatorChain(row, "K"), psi).amplitudes
+    assert 1e-13 < np.linalg.norm(out - 1j * psi.amplitudes) < 1e-10
+    factors, residual = _sweep_rows(psi.amplitudes, psi.amplitudes, np.array([1j]),
+                                    row[None].copy(), _su2_step)
+    assert residual[0] < 1e-14
+    assert not np.array_equal(factors[0], row)
+
+
+def test_l4_random_path_witnesses():
+    """L4 has T_12 proportional to the identity, so its rows are Haar starts,
+    none on a hit; the search finds its three unitary symmetries."""
+    def su2(a, b):
+        return np.array([[a, b], [-np.conj(b), np.conj(a)]])
+
+    a, b = 1j / np.sqrt(3), 1 / np.sqrt(2) + 1j / np.sqrt(6)
+    expected = [np.stack([w] * 4) for w in
+                (su2(a, b), su2(-a, 1j * np.sqrt(2 / 3)), su2(a, -np.conj(b)))]
+    assert _starts(make_ln(4), make_ln(4), 32, 0, True)[1] == "random"
+    assert_same_chains([c.factors for c, _ in discrete_stabilizer_search(make_ln(4))], expected)
+
+
 # ---------------------------------------------------------------------------
 # starts from two-qubit correlation tensors
 # ---------------------------------------------------------------------------
@@ -402,7 +444,7 @@ def test_ln_hits_are_exactly_the_analytic_symmetries(n, t, seed):
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_circle_rows_start_on_their_hits(n, monkeypatch):
     """Every swept circle row starts within 1e-12 of a hit, up to a factor
-    sign: the candidate angles are exact, so each hit costs one sweep."""
+    sign: the candidate angles are exact, so each hit costs at most one sweep."""
     psi, starts, sweep = make_ln(n), [], stabilizer._sweep_rows
 
     def recording(amplitudes, target, phases, factors, step):
