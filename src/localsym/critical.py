@@ -2,9 +2,13 @@
 
 A state is critical when every single-qubit reduced density matrix
 equals I/2.  ``scale_to_critical`` drives a state to the critical
-representative of its orbit by cyclic Sinkhorn-style sweeps: each step
-applies to one qubit the determinant-one positive matrix that flattens
-that qubit's reduced density, which never increases the norm.  Orbits
+representative of its orbit.  For 4 <= n <= 8 each iteration tries a
+damped Newton step on log ||E(x) psi||**2 over Hermitian chains
+E(x) = (x)_k exp(x_k . sigma / 2), which converges quadratically near
+the critical point; otherwise, and whenever the step fails or would
+raise the norm, it runs a cyclic Sinkhorn-style sweep: each step applies
+to one qubit the determinant-one positive matrix that flattens that
+qubit's reduced density, which never increases the norm.  Orbits
 without a critical point (the null cone) show up as monotone norm decay
 below threshold, or as a rank-deficient reduced density.
 
@@ -29,7 +33,9 @@ from .states import (
     apply_chain,
     sample_chain,
     derive_rng,
+    _PAULIS,
     _moments,
+    _on_every_qubit,
     _require_normalized,
 )
 
@@ -38,6 +44,14 @@ __all__ = ["CriticalityReport", "ScalingResult", "criticality_report",
 
 _NULL_CONE_NORM_FRACTION = 1e-6
 _SINGULAR_RHO_EIG = 1e-14
+# Newton steps run for 4 <= n <= 8: below, a generic state's stabilizer makes
+# the Hessian singular at the critical point and a few sweeps converge; above,
+# the O(n**2 2**n) Hessian costs more than the sweeps it saves
+_NEWTON_MIN_QUBITS = 4
+_NEWTON_MAX_QUBITS = 8
+# relative norm rise a Newton step may show from rounding alone and be kept
+_NEWTON_NORM_SLACK = 1e-14
+_UNIT_AND_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -98,19 +112,58 @@ def _flattening_factor(a: float, b: float, c: complex) -> np.ndarray | None:
                      [-c.conjugate() * scale, (a + root) * scale]])
 
 
+def _newton_factors(t: np.ndarray, sq_norm: float) -> np.ndarray | None:
+    """The factors of E(x) = (x)_k exp(x_k . sigma / 2) for a Newton step x on
+    log ||E(x) phi||**2 at phi = t, of squared norm sq_norm; None if the
+    solve fails or is not finite.
+
+    The gradient is the Bloch vectors r_ka = <sigma_a on qubit k> and the
+    Hessian H = C - r r^T, for C the real Gram matrix of the 3n Pauli images
+    (I_3 blocks on its diagonal, the correlation tensors T_jk off it).  The
+    step x = -H^-1 r is scaled to max_k |x_k| <= 1, so no factor overflows
+    near the null cone, where H turns singular.  Each factor
+    cosh(|x_k|/2) I + sinh(|x_k|/2) x_k . sigma / |x_k| is Hermitian,
+    positive and of determinant one.
+    """
+    images = _on_every_qubit(_PAULIS, t.reshape(-1)).view(float)
+    r = images @ t.reshape(-1).view(float) / sq_norm
+    try:
+        x = np.linalg.solve(images @ images.T / sq_norm - np.outer(r, r), -r).reshape(-1, 3)
+    except np.linalg.LinAlgError:
+        return None
+    length = np.hypot(np.hypot(x[:, 0], x[:, 1]), x[:, 2])  # no squares to overflow
+    top = length.max()
+    if not top < math.inf:  # also true for nan
+        return None
+    cap = max(1.0, top)
+    x, length = x / cap, length / cap
+    coefs = np.empty((len(x), 4))
+    coefs[:, 0] = np.cosh(0.5 * length)
+    coefs[:, 1:] = x * (np.sinh(0.5 * length) / np.where(length > 0, length, 1.0))[:, None]
+    return (coefs @ _UNIT_AND_PAULIS).reshape(-1, 2, 2)
+
+
 def scale_to_critical(psi: PureState, tol: float = 1e-10,
                       max_iter: int = 10_000) -> ScalingResult:
     """Iterate toward the critical representative of the orbit of psi.
 
-    Sweeps qubits cyclically, flattening one reduced density per step.
-    Convergence is declared when all reductions of the running state,
-    taken at unit trace, are within ``tol`` of I/2 in Frobenius norm,
-    checked from qubit 0 (whose moments step 0 reuses) to the first that is not.
-    A run whose norm falls below 1e-6 of the initial norm, or that hits
-    a numerically singular reduced density, is declared ``null_cone``.
-    Each step is one matmul that applies the factor and rolls the next
-    qubit into the rows; a sweep's factors enter the chain in one batched
-    matmul, at a null-cone exit within it only those already applied.
+    Each iteration is one Newton step or one sweep; ``iterations`` and
+    ``max_iter`` count both.  For 4 <= n <= 8 the Newton step of
+    ``_newton_factors`` is kept when the norm rises by at most 1e-14
+    relative (rounding); a failed, non-finite or rejected step gives a
+    sweep instead, and outside that range every iteration is a sweep,
+    flattening one reduced density per step with qubits taken cyclically.
+    Both land on the same unitary orbit with the same minimal norm, but
+    not on the same point of it.  Convergence is declared when all
+    reductions of the running state, taken at unit trace, are within
+    ``tol`` of I/2 in Frobenius norm, checked from qubit 0 (whose moments
+    the sweep's first step and the Newton step reuse) to the first that
+    is not.  A run whose norm falls below 1e-6 of the initial norm, or
+    whose sweep hits a numerically singular reduced density, is declared
+    ``null_cone``.  Each factor is applied by one matmul that also rolls
+    the next qubit into the rows; an iteration's factors enter the chain
+    in one batched matmul, at a null-cone exit within a sweep only those
+    already applied.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -124,34 +177,45 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     steps = np.empty_like(acc)
     trajectory = [initial_norm]
 
-    def finish(status, sweeps):
+    def finish(status, iterations):
         chain = LocalOperatorChain(acc, "G")
         if status == "converged":
             nrm = np.linalg.norm(t)
             rep, scalar = PureState(n, t.reshape(-1) / nrm), 1.0 / nrm
         else:
             rep, scalar = None, 1.0 + 0j
-        return ScalingResult(rep, chain, complex(scalar), sweeps, status, trajectory)
+        return ScalingResult(rep, chain, complex(scalar), iterations, status, trajectory)
 
-    for sweep in range(max_iter + 1):
+    for it in range(max_iter + 1):
         devs = _deviations(t, n)
         first, dev = next(devs)
         if dev <= tol and all(d <= tol for _, d in devs):
-            return finish("converged", sweep)
-        if sweep == max_iter:
-            return finish("max_iter", sweep)
-        for k in range(n):
-            # qubit 0 still sees the state the convergence check saw
-            g = _flattening_factor(*(first if k == 0 else _moments(t)))
-            if g is None:
-                acc[:k] = steps[:k] @ acc[:k]
-                return finish("null_cone", sweep)
-            steps[k] = g
-            t = (t.T @ g.T).reshape(2, -1)
+            return finish("converged", it)
+        if it == max_iter:
+            return finish("max_iter", it)
+        newton = (_newton_factors(t, first[0] + first[1])
+                  if _NEWTON_MIN_QUBITS <= n <= _NEWTON_MAX_QUBITS else None)
+        if newton is not None:
+            u = t
+            for g in newton:
+                u = (u.T @ g.T).reshape(2, -1)
+            if np.linalg.norm(u) <= trajectory[-1] * (1 + _NEWTON_NORM_SLACK):
+                t, steps[:] = u, newton
+            else:
+                newton = None
+        if newton is None:
+            for k in range(n):
+                # qubit 0 still sees the state the convergence check saw
+                g = _flattening_factor(*(first if k == 0 else _moments(t)))
+                if g is None:
+                    acc[:k] = steps[:k] @ acc[:k]
+                    return finish("null_cone", it)
+                steps[k] = g
+                t = (t.T @ g.T).reshape(2, -1)
         acc = steps @ acc
         trajectory.append(float(np.linalg.norm(t)))
         if trajectory[-1] < _NULL_CONE_NORM_FRACTION * initial_norm:
-            return finish("null_cone", sweep + 1)
+            return finish("null_cone", it + 1)
 
 
 def min_norm_probe(phi: PureState, trials: int = 100, seed: int = 0) -> float:

@@ -33,6 +33,7 @@ from .states import (
     _correlations,
     _ginibre,
     _haar_u2,
+    _on_every_qubit,
 )
 from .critical import criticality_report, scale_to_critical
 from .invariants import f2, f4
@@ -88,9 +89,7 @@ class TrivialityVerdict:
 
 def _tangent_matrix(psi: PureState) -> np.ndarray:
     """2**n x 3n matrix whose columns are (I..X..I)|psi>, X in sl(2)."""
-    basis = np.stack(SL2_BASIS)
-    return np.concatenate([apply_factor(basis, psi.amplitudes, k)
-                           for k in range(psi.n)]).T
+    return _on_every_qubit(np.stack(SL2_BASIS), psi.amplitudes).T
 
 
 def _lie_probe(psi: PureState, is_critical: bool) -> StabilizerProbe:

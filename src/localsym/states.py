@@ -213,6 +213,12 @@ def apply_factor(u: np.ndarray, amp: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(out.shape[:-3] + (-1,))
 
 
+def _on_every_qubit(ops: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """The (m, 2, 2) stack ops applied on each qubit of flat amplitudes: a
+    (n * m, 2**n) array whose row k * m + a is ops[a] on qubit k (0-based)."""
+    return np.concatenate([apply_factor(ops, amp, k) for k in range(amp.size.bit_length() - 1)])
+
+
 def apply_chain(chain: LocalOperatorChain, psi: PureState) -> PureState:
     """(g_1 (x) ... (x) g_n)|psi>, applied one qubit at a time."""
     if chain.n != psi.n:

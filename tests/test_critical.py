@@ -15,8 +15,10 @@ from localsym import (
     make_w,
     sample_haar_state,
 )
-from localsym.critical import _flattening_factor
+from localsym.critical import _flattening_factor, _newton_factors
 from localsym.states import _moments
+
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
 
 def reconstruct(psi, result):
@@ -152,34 +154,72 @@ def einsum_reduction(amp, k):
     return rho / np.trace(rho).real
 
 
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def reference_newton_factors(amp, n):
+    """Dense Newton step on log ||E(x) amp||**2 with gradient and Hessian from
+    np.kron Pauli strings and factors exp(x_k . sigma / 2) from eigh; None if
+    the solve fails or is not finite."""
+    images = np.array([kron_all([np.eye(2)] * k + [s] + [np.eye(2)] * (n - k - 1)) @ amp
+                       for k in range(n) for s in PAULIS])
+    sq_norm = np.vdot(amp, amp).real
+    r = (images @ amp.conj()).real / sq_norm
+    hessian = (images.conj() @ images.T).real / sq_norm - np.outer(r, r)
+    try:
+        x = -np.linalg.solve(hessian, r).reshape(n, 3)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(x)):
+        return None
+    x = x / max(1.0, np.max(np.linalg.norm(x, axis=1)))
+    factors = []
+    for xk in x:
+        w, v = np.linalg.eigh(sum(c * s for c, s in zip(xk, PAULIS)))
+        factors.append((v * np.exp(w / 2)) @ v.conj().T)
+    return factors
+
+
 def reference_scaling(psi, tol, max_iter):
-    """The sweep on the flat amplitude vector with einsum reductions and eigh
-    factors, under the same stop rules: (status, iterations, representative,
-    chain, norm trajectory)."""
+    """The iteration on the flat amplitude vector with einsum reductions and
+    eigh factors, under the same rules: for 4 <= n <= 8 a dense Newton step,
+    kept if the norm rises by at most 1e-14 relative, else a sweep:
+    (status, iterations, representative, chain, norm trajectory)."""
     n, amp = psi.n, psi.amplitudes
     acc = np.array([np.eye(2, dtype=complex)] * n)
     trajectory = [np.linalg.norm(amp)]
-    for sweep in range(max_iter + 1):
+
+    def apply(g, amp, k):
+        return np.einsum("ij,ajb->aib", g, amp.reshape(2**k, 2, -1)).reshape(-1)
+
+    for it in range(max_iter + 1):
         rhos = [einsum_reduction(amp, k) for k in range(n)]
         if max(np.linalg.norm(rho - np.eye(2) / 2) for rho in rhos) <= tol:
-            return "converged", sweep, amp / np.linalg.norm(amp), acc, trajectory
-        if sweep == max_iter:
-            return "max_iter", sweep, None, acc, trajectory
-        for k in range(n):
-            rho = rhos[0] if k == 0 else einsum_reduction(amp, k)
-            if np.linalg.eigvalsh(rho)[0] < 1e-14:
-                return "null_cone", sweep, None, acc, trajectory
-            g = eigh_flattening_reference(rho)
-            amp = np.einsum("ij,ajb->aib", g, amp.reshape(2**k, 2, -1)).reshape(-1)
-            acc[k] = g @ acc[k]
+            return "converged", it, amp / np.linalg.norm(amp), acc, trajectory
+        if it == max_iter:
+            return "max_iter", it, None, acc, trajectory
+        factors = reference_newton_factors(amp, n) if 4 <= n <= 8 else None
+        stepped = amp
+        for k, g in enumerate(factors or []):
+            stepped = apply(g, stepped, k)
+        if factors and np.linalg.norm(stepped) <= trajectory[-1] * (1 + 1e-14):
+            amp, acc = stepped, np.array(factors) @ acc
+        else:
+            for k in range(n):
+                rho = rhos[0] if k == 0 else einsum_reduction(amp, k)
+                if np.linalg.eigvalsh(rho)[0] < 1e-14:
+                    return "null_cone", it, None, acc, trajectory
+                g = eigh_flattening_reference(rho)
+                amp = apply(g, amp, k)
+                acc[k] = g @ acc[k]
         trajectory.append(np.linalg.norm(amp))
         if trajectory[-1] < 1e-6 * trajectory[0]:
-            return "null_cone", sweep + 1, None, acc, trajectory
+            return "null_cone", it + 1, None, acc, trajectory
 
 
 PARITY_CASES = {
     **{f"haar{n}-{seed}": (sample_haar_state(n, seed), 10_000)
-       for n in range(1, 9) for seed in range(3)},
+       for n in range(1, 11) for seed in range(3)},
     "w3": (make_w(3), 10_000),
     "product": (PureState(2, np.kron([0.8, 0.6j], [1.0, 0.0])), 10_000),
     # 0.8|000> + 0.6|101>: qubit 0 is flattened, then qubit 1 is singular,
@@ -207,52 +247,59 @@ def test_scaling_matches_flat_vector_reference(case):
         np.testing.assert_allclose(result.representative.amplitudes, rep, rtol=0, atol=1e-12)
 
 
-def eager_scaling(psi, tol, max_iter):
+def eager_scaling(psi, tol, max_iter, newton=True):
     """``scale_to_critical`` with an eager convergence check, all n deviations
-    every sweep, in the same float operations: (status, iterations,
-    trajectory, chain, representative, scalar)."""
+    every iteration, in the same float operations; newton=False gives the
+    sweep-only loop for every n: (status, iterations, trajectory, chain,
+    representative, scalar)."""
     n, t = psi.n, psi.amplitudes.reshape(2, -1)
     acc = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
     steps = np.empty_like(acc)
     trajectory = [psi.norm()]
 
-    def finish(status, sweeps):
+    def finish(status, iterations):
         if status != "converged":
-            return status, sweeps, trajectory, acc, None, 1.0 + 0j
+            return status, iterations, trajectory, acc, None, 1.0 + 0j
         nrm = np.linalg.norm(t)
-        return status, sweeps, trajectory, acc, t.reshape(-1) / nrm, complex(1.0 / nrm)
+        return status, iterations, trajectory, acc, t.reshape(-1) / nrm, complex(1.0 / nrm)
 
-    for sweep in range(max_iter + 1):
+    for it in range(max_iter + 1):
         moments, u = [], t
         for _ in range(n):
             moments.append(_moments(u))
             u = u.T.reshape(2, -1)
         if max(math.sqrt(0.5 * (a - b) ** 2 + 2 * abs(c) ** 2) / (a + b)
                for a, b, c in moments) <= tol:
-            return finish("converged", sweep)
-        if sweep == max_iter:
-            return finish("max_iter", sweep)
-        for k in range(n):
-            g = _flattening_factor(*(moments[0] if k == 0 else _moments(t)))
-            if g is None:
-                acc[:k] = steps[:k] @ acc[:k]
-                return finish("null_cone", sweep)
-            steps[k] = g
-            t = (t.T @ g.T).reshape(2, -1)
+            return finish("converged", it)
+        if it == max_iter:
+            return finish("max_iter", it)
+        factors = None
+        if newton and 4 <= n <= 8:
+            factors = _newton_factors(t, moments[0][0] + moments[0][1])
+        if factors is not None:
+            u = t
+            for g in factors:
+                u = (u.T @ g.T).reshape(2, -1)
+            if np.linalg.norm(u) <= trajectory[-1] * (1 + 1e-14):
+                t, steps[:] = u, factors
+            else:
+                factors = None
+        if factors is None:
+            for k in range(n):
+                g = _flattening_factor(*(moments[0] if k == 0 else _moments(t)))
+                if g is None:
+                    acc[:k] = steps[:k] @ acc[:k]
+                    return finish("null_cone", it)
+                steps[k] = g
+                t = (t.T @ g.T).reshape(2, -1)
         acc = steps @ acc
         trajectory.append(float(np.linalg.norm(t)))
         if trajectory[-1] < 1e-6 * trajectory[0]:
-            return finish("null_cone", sweep + 1)
+            return finish("null_cone", it + 1)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.builds(sample_haar_state, st.integers(1, 8), st.integers(0, 2**32 - 1)),
-       st.sampled_from([1e-10, 1e-11]), st.sampled_from([0, 1, 10_000]))
-# flat on qubits 0 and 1 only: a check that skips the last qubit converges at once
-@example(PureState(3, np.kron(make_ln(2).amplitudes, [0.6, 0.8])), 1e-11, 10_000)
-def test_lazy_convergence_check_is_bitwise_eager(psi, tol, max_iter):
-    result = scale_to_critical(psi, tol=tol, max_iter=max_iter)
-    status, iterations, trajectory, chain, rep, scalar = eager_scaling(psi, tol, max_iter)
+def assert_bitwise(result, expected):
+    status, iterations, trajectory, chain, rep, scalar = expected
     assert (result.status, result.iterations, result.scalar) == (status, iterations, scalar)
     assert result.norm_trajectory == trajectory
     assert result.accumulated_chain.factors.tobytes() == chain.tobytes()
@@ -260,6 +307,80 @@ def test_lazy_convergence_check_is_bitwise_eager(psi, tol, max_iter):
         assert result.representative is None
     else:
         assert result.representative.amplitudes.tobytes() == rep.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(sample_haar_state, st.integers(1, 10), st.integers(0, 2**32 - 1)),
+       st.sampled_from([1e-10, 1e-11]), st.sampled_from([0, 1, 10_000]))
+# flat on qubits 0 and 1 only: a check that skips the last qubit converges at once
+@example(PureState(3, np.kron(make_ln(2).amplitudes, [0.6, 0.8])), 1e-11, 10_000)
+def test_lazy_convergence_check_is_bitwise_eager(psi, tol, max_iter):
+    result = scale_to_critical(psi, tol=tol, max_iter=max_iter)
+    assert_bitwise(result, eager_scaling(psi, tol, max_iter))
+
+
+@pytest.mark.parametrize("case", [c for c, (psi, _) in PARITY_CASES.items() if not 4 <= psi.n <= 8])
+def test_sweep_only_outside_newton_range_is_bitwise(case):
+    """n <= 3 and n >= 9 run the sweep-only loop, bit for bit."""
+    psi, max_iter = PARITY_CASES[case]
+    result = scale_to_critical(psi, tol=1e-11, max_iter=max_iter)
+    assert_bitwise(result, eager_scaling(psi, 1e-11, max_iter, newton=False))
+
+
+def two_qubit_spectra(amp, n):
+    """Eigenvalues of every two-qubit reduced density of the normalized state."""
+    tensor = amp.reshape((2,) * n) / np.linalg.norm(amp)
+    spectra = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.moveaxis(tensor, (j, k), (0, 1)).reshape(4, -1)
+            spectra.append(np.linalg.eigvalsh(m @ m.conj().T))
+    return np.array(spectra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([1e-10, 1e-11]))
+def test_newton_steps_reach_the_sweep_orbit(n, seed, tol):
+    """Newton steps end on the unitary orbit the sweeps end on: same status
+    and minimal norm, same two-qubit spectra, a unit-determinant chain and
+    no norm rise beyond rounding."""
+    psi = sample_haar_state(n, seed)
+    result = scale_to_critical(psi, tol=tol)
+    status, _, _, _, rep, scalar = eager_scaling(psi, tol, 10_000, newton=False)
+    assert result.status == status
+    assert abs(result.scalar - scalar) <= 1e-12 * abs(scalar)
+    if rep is not None:
+        np.testing.assert_allclose(two_qubit_spectra(result.representative.amplitudes, n),
+                                   two_qubit_spectra(rep, n), rtol=0, atol=1e-9)
+    dets = np.linalg.det(result.accumulated_chain.factors)
+    assert np.max(np.abs(dets - 1.0)) <= 1e-12
+    assert np.all(np.diff(result.norm_trajectory) <= 1e-12)
+
+
+NULL_CONE_CASES = {
+    "w3": make_w(3), "w4": make_w(4), "w5": make_w(5),
+    "product": PARITY_CASES["product"][0],
+    "mid-sweep": PARITY_CASES["mid-sweep"][0],
+    "haar1": sample_haar_state(1, 0),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", NULL_CONE_CASES)
+def test_null_cone_states_exit_without_overflow(case):
+    """Near the null cone the Hessian turns singular; the capped step and the
+    sweep fallback still end in null_cone, with no floating-point warning."""
+    result = scale_to_critical(NULL_CONE_CASES[case], tol=1e-11)
+    assert result.status == "null_cone"
+    assert result.representative is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_critical_and_budget_exits_without_overflow():
+    assert scale_to_critical(make_ghz(4)).iterations == 0
+    for max_iter in (0, 1):
+        result = scale_to_critical(sample_haar_state(5, 3), max_iter=max_iter)
+        assert (result.status, result.iterations) == ("max_iter", max_iter)
 
 
 def test_scale_requires_normalized():
