@@ -18,6 +18,8 @@ Gram matrix (``states._moments``) and roll the next qubit into the rows
 with ``t.T.reshape(2, -1)``.  Deviation from I/2 and flattening factor
 are closed forms in the moments, so no eigensolver runs, and the
 scaling's convergence check stops at the first qubit outside tolerance.
+The Newton step reads its gradient and Hessian off the Pauli images
+(``states._pauli_images``) that also give the Lie probe and the T_1k.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .states import (
     apply_chain,
     sample_chain,
     derive_rng,
-    _PAULIS,
+    _UNIT_AND_PAULIS,
     _moments,
-    _on_every_qubit,
+    _pauli_images,
     _require_normalized,
 )
 
@@ -51,7 +53,6 @@ _NEWTON_MIN_QUBITS = 4
 _NEWTON_MAX_QUBITS = 8
 # relative norm rise a Newton step may show from rounding alone and be kept
 _NEWTON_NORM_SLACK = 1e-14
-_UNIT_AND_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ def _deviations(t: np.ndarray, n: int):
 
 def criticality_report(psi: PureState, tol: float = 1e-10) -> CriticalityReport:
     """Frobenius deviation of every single-qubit reduction from I/2."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # also true for nan
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     _require_normalized(psi)
     devs = [dev for _, dev in _deviations(psi.amplitudes.reshape(2, -1), psi.n)]
     mx = max(devs)
@@ -125,7 +126,7 @@ def _newton_factors(t: np.ndarray, sq_norm: float) -> np.ndarray | None:
     cosh(|x_k|/2) I + sinh(|x_k|/2) x_k . sigma / |x_k| is Hermitian,
     positive and of determinant one.
     """
-    images = _on_every_qubit(_PAULIS, t.reshape(-1)).view(float)
+    images = _pauli_images(t.reshape(-1)).view(float)
     r = images @ t.reshape(-1).view(float) / sq_norm
     try:
         x = np.linalg.solve(images @ images.T / sq_norm - np.outer(r, r), -r).reshape(-1, 3)
@@ -165,8 +166,8 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     in one batched matmul, at a null-cone exit within a sweep only those
     already applied.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # also true for nan
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     _require_normalized(psi)

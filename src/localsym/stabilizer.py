@@ -2,7 +2,8 @@
 
 The continuous part measures the dimension of the Lie-algebra
 stabilizer {X in Lie(G) : X|psi> = 0} from the singular values of the
-tangent map X -> X|psi>.  The discrete part finds isolated symmetries
+tangent map X -> X|psi>, whose columns are the Pauli images
+``states._pauli_images``.  The discrete part finds isolated symmetries
 u psi = t psi in SU(2)^n, where every product-operator symmetry of a
 critical state with zero-dimensional stabilizer lies.  Such a u rotates
 the correlation tensors of qubits 1 and k, T_1k(u psi) = R_1 T_1k(psi)
@@ -29,11 +30,12 @@ from .states import (
     apply_chain,
     apply_factor,
     derive_rng,
-    _PAULIS,
+    _UNIT_AND_PAULIS,
+    _apply_factors,
     _correlations,
     _ginibre,
     _haar_u2,
-    _on_every_qubit,
+    _pauli_images,
 )
 from .critical import criticality_report, scale_to_critical
 from .invariants import f2, f4
@@ -47,14 +49,6 @@ __all__ = [
     "gtilde_triviality_probe",
     "adjoint_closure_check",
 ]
-
-# Basis of sl(2, C): raising, lowering, diagonal.  Integer entries keep
-# the tangent matrix exactly reproducible.
-SL2_BASIS = (
-    np.array([[0, 1], [0, 0]], dtype=complex),
-    np.array([[0, 0], [1, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 _SVD_CUTOFF = 1e-8
 _IDENTITY_EXCLUSION_RADIUS = 1e-3
@@ -87,15 +81,11 @@ class TrivialityVerdict:
     tol: float
 
 
-def _tangent_matrix(psi: PureState) -> np.ndarray:
-    """2**n x 3n matrix whose columns are (I..X..I)|psi>, X in sl(2)."""
-    return _on_every_qubit(np.stack(SL2_BASIS), psi.amplitudes).T
-
-
 def _lie_probe(psi: PureState, is_critical: bool) -> StabilizerProbe:
-    """``lie_stabilizer_dim`` for a caller that knows whether psi is critical."""
-    sv = np.linalg.svd(_tangent_matrix(psi), compute_uv=False)
-    # pad to 3n entries: for 2**n < 3n the matrix is wide and the svd
+    """``lie_stabilizer_dim`` for a caller that knows whether psi is critical;
+    Span_C{sigma_x, sigma_y, sigma_z} = sl(2, C): the Pauli images are the map."""
+    sv = np.linalg.svd(_pauli_images(psi.amplitudes), compute_uv=False)
+    # pad to 3n entries: for 2**n < 3n the matrix is tall and the svd
     # reports only 2**n values, the rest of the kernel is structural
     sv = np.concatenate([sv, np.zeros(max(0, 3 * psi.n - sv.size))])
     smax = sv[0]
@@ -107,9 +97,10 @@ def _lie_probe(psi: PureState, is_critical: bool) -> StabilizerProbe:
 def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
     """Complex dimension of the Lie-algebra stabilizer of psi.
 
-    Counts singular values of the tangent matrix at or below
-    1e-8 sigma_max; the rank of the map and the reported dimension
-    always add up to 3n.
+    Counts singular values of the tangent map, the 3n Pauli images, at
+    or below 1e-8 sigma_max; rank and dimension always add up to 3n.
+    The Pauli basis is orthonormal, so the singular values are invariant
+    under local unitaries and qubit permutations.
     """
     return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical)
 
@@ -166,10 +157,8 @@ def _sweep_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray,
     A row stops below 1e-14, also tested before the first sweep (a row
     starting on a hit keeps its start), or after 8 stalled sweeps.
     """
-    rows, n = factors.shape[:2]
-    chi = np.broadcast_to(psi, (rows, psi.size))
-    for k in range(n):
-        chi = apply_factor(factors[:, k], chi, k)
+    n = factors.shape[1]
+    chi = _apply_factors(factors, psi)
     want = phases[:, None] * target
     residual = np.linalg.norm(chi - want, axis=1)
     live = np.flatnonzero(residual >= 1e-14)
@@ -214,7 +203,8 @@ def _su2_lift(r: np.ndarray) -> np.ndarray:
     col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1)[..., None, None]
     q = np.take_along_axis(qq, col, -1)[..., 0]
     q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-    return q[..., :1, None] * np.eye(2) - 1j * np.einsum("...a,aij->...ij", q[..., 1:], _PAULIS)
+    u = q[..., :1] * _UNIT_AND_PAULIS[0] - 1j * (q[..., 1:] @ _UNIT_AND_PAULIS[1:])
+    return u.reshape(q.shape[:-1] + (2, 2))
 
 
 def _critical_angles(samples: np.ndarray) -> np.ndarray:
@@ -243,9 +233,7 @@ def _overlaps(rows: np.ndarray, psi: PureState, target: PureState) -> np.ndarray
     chunk = max(1, _BATCH_BYTES // (16 * psi.dim))
     ov = np.empty(len(rows), dtype=complex)
     for lo in range(0, len(rows), chunk):
-        chi = psi.amplitudes
-        for k in range(psi.n):
-            chi = apply_factor(rows[lo:lo + chunk, k], chi, k)
+        chi = _apply_factors(rows[lo:lo + chunk], psi.amplitudes)
         ov[lo:lo + chunk] = chi @ target.amplitudes.conj()
     return ov / (psi.norm() * target.norm())
 
@@ -263,20 +251,21 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     q = |<target|u psi>|^2 (one at a symmetry) have degree D = max(n, 4):
     the rows are their critical points.  Random row r: derive_rng(seed, r).
     """
-    src = _correlations(psi.amplitudes, psi.n)
+    src = _correlations(psi.amplitudes)
     a, s, _ = np.linalg.svd(src)  # of every T_1k; T_12 is index 0
     equal = -np.diff(s[0]) <= _GAP_TOL * s[0, 0]
     if equal.all() or not np.all(s[:, -1] * _COND_TOL > s[:, 0]):
         return _haar_u2(np.stack([_ginibre(derive_rng(seed, r), (psi.n,))
                                   for r in range(restarts)]), special), "random"
     path = "pair_circle" if equal.any() else "pair_exact"
-    dst = src if target is psi else _correlations(target.amplitudes, target.n)
+    dst = src if target is psi else _correlations(target.amplitudes)
     a, s, a2 = a[0], s[0], a[0] if target is psi else np.linalg.svd(dst[0])[0]
     det = np.linalg.det(a) * np.linalg.det(a2)
+    inv_src_t = np.linalg.inv(src).swapaxes(-1, -2)
 
     def rotations(p: np.ndarray) -> np.ndarray:  # (rows, n, 3, 3): R_1, R_2, ..., R_n
         r1 = a2 @ p @ a.T
-        rk = dst.swapaxes(-1, -2) @ r1[:, None] @ np.linalg.inv(src).swapaxes(-1, -2)
+        rk = dst.swapaxes(-1, -2) @ r1[:, None] @ inv_src_t
         return np.concatenate([r1[:, None], rk], 1)
 
     if path == "pair_exact":
@@ -338,11 +327,11 @@ def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _require_budget(restarts: int, tol: float) -> None:
-    """No restart, or tol <= 0, keeps no hit whatever psi is: an empty non-search."""
+    """Outside restarts >= 1 and 0 < tol < inf no row, or every row, is a hit."""
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    if tol <= 0:
-        raise ValueError(f"search tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # also true for nan
+        raise ValueError(f"search tolerance must be positive and finite, got {tol}")
 
 
 def _search(psi: PureState, phases, restarts: int, seed: int, tol: float

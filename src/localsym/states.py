@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * Qubit indices in the public API are 1-based (1..n).
 * A local operator chain g = g_1 (x) ... (x) g_n is one (n, 2, 2) stack
   of 2x2 matrices; the full 2**n x 2**n matrix is never materialized.
+* One matrix of Pauli images (``_pauli_images``) gives the Lie probe's
+  tangent SVD, the correlation tensors T_1k and the Newton Hessian.
 """
 
 from __future__ import annotations
@@ -213,20 +215,19 @@ def apply_factor(u: np.ndarray, amp: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(out.shape[:-3] + (-1,))
 
 
-def _on_every_qubit(ops: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """The (m, 2, 2) stack ops applied on each qubit of flat amplitudes: a
-    (n * m, 2**n) array whose row k * m + a is ops[a] on qubit k (0-based)."""
-    return np.concatenate([apply_factor(ops, amp, k) for k in range(amp.size.bit_length() - 1)])
+def _apply_factors(factors: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """The chain of (..., n, 2, 2) factors applied to flat amplitudes
+    (..., 2**n) one qubit at a time; leading axes broadcast as rows."""
+    for k in range(factors.shape[-3]):
+        amp = apply_factor(factors[..., k, :, :], amp, k)
+    return amp
 
 
 def apply_chain(chain: LocalOperatorChain, psi: PureState) -> PureState:
     """(g_1 (x) ... (x) g_n)|psi>, applied one qubit at a time."""
     if chain.n != psi.n:
         raise ValueError(f"chain acts on {chain.n} qubits, state has {psi.n}")
-    amp = psi.amplitudes
-    for k, g in enumerate(chain.factors):
-        amp = apply_factor(g, amp, k)
-    return PureState(psi.n, chain.scalar * amp)
+    return PureState(psi.n, chain.scalar * _apply_factors(chain.factors, psi.amplitudes))
 
 
 def _require_normalized(psi: PureState) -> None:
@@ -244,16 +245,21 @@ def _moments(t: np.ndarray) -> tuple[float, float, complex]:
 
 
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_UNIT_AND_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]).reshape(4, 4)
 
 
-def _correlations(amp: np.ndarray, n: int) -> np.ndarray:
+def _pauli_images(amp: np.ndarray) -> np.ndarray:
+    """(3n, 2**n) array whose row 3k + a is sigma_a on qubit k (0-based) of flat
+    amplitudes: the tangent map of sl(2, C)**n in a basis orthonormal on each
+    qubit.  Its real Gram matrix / ||amp||**2 is I_3 on diagonal blocks, T_jk off them."""
+    return np.concatenate([apply_factor(_PAULIS, amp, k) for k in range(amp.size.bit_length() - 1)])
+
+
+def _correlations(amp: np.ndarray) -> np.ndarray:
     """T_1k[a, b] = <sigma_a (x) sigma_b> on qubits 1 and k, k = 2..n, of the
-    normalized state: Tr(sigma_b c_a) for c_a the reduction of qubit k
-    across <amp| sigma_a (on qubit 1) and |amp>, a real (n - 1, 3, 3) stack."""
-    bra = apply_factor(_PAULIS, amp, 0).conj()
-    cross = np.stack([np.einsum("akjr,kir->aji", bra.reshape(3, 2**k, 2, -1),
-                                amp.reshape(2**k, 2, -1)) for k in range(1, n)])
-    return np.einsum("bji,kaji->kab", _PAULIS, cross).real / np.vdot(amp, amp).real
+    normalized state: a real (n - 1, 3, 3) block of the Pauli images' Gram matrix."""
+    im = _pauli_images(amp).view(float)
+    return (im[:3] @ im[3:].T).reshape(3, -1, 3).swapaxes(0, 1) / np.vdot(amp, amp).real
 
 
 def reduced_density(psi: PureState, k: int) -> np.ndarray:

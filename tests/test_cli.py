@@ -146,10 +146,26 @@ def test_stab_rejects_zero_tol(tmp_path, capsys):
     for psi in (make_gabcd(1, 2 + 1j, 3, 0.5), make_ghz(4)):
         state = tmp_path / "psi.json"
         write_state(psi, state)
-        assert main(["stab", str(state), "--tol", "0"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "tolerance" in captured.err and "Traceback" not in captured.err
+        for tol in ("0", "nan", "inf", "-inf"):
+            assert main(["stab", str(state), f"--tol={tol}"]) == 1  # "--tol -inf" reads a flag
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "tolerance" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["analyze", "scale", "genericity"])
+def test_non_finite_tol_exits_one(tmp_path, capsys, command, tol):
+    # a NaN tol would keep no witness and count every sample as trivial
+    state = tmp_path / "psi.json"
+    write_state(make_gabcd(1, 2 + 1j, 3, 0.5), state)
+    argv = ["genericity", "--n", "4", "--samples", "1"] if command == "genericity" \
+        else [command, str(state)]
+    assert main(argv + [f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "tolerance" in captured.err and "Traceback" not in captured.err
 
 
 def test_pmax_and_protocol(tmp_path, capsys):

@@ -46,8 +46,12 @@ def test_report_requires_normalized():
 
 
 def test_report_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        criticality_report(make_ghz(3), tol=0.0)
+    # with tol = inf, W3 (null cone) would "converge" at iteration 0
+    for tol in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            criticality_report(make_ghz(3), tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            scale_to_critical(make_w(3), tol=tol)
 
 
 def test_scale_critical_input_is_noop():

@@ -66,6 +66,21 @@ def test_lie_dim_requires_normalized():
         lie_stabilizer_dim(make_w(3, normalized=False))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 6), st.integers(0, 2**31 - 1))
+def test_singular_values_invariant_under_local_unitaries(n, seed):
+    """The Pauli images are an orthonormal basis of sl(2, C) on each qubit: a
+    local unitary rotates them by an SO(3) matrix per qubit and a qubit
+    permutation permutes them, so the tangent singular values stay put."""
+    psi = sample_haar_state(n, derive_rng(seed, 0))
+    moved = apply_chain(sample_chain(n, "K", derive_rng(seed, 1)), psi)
+    perm = derive_rng(seed, 2).permutation(n)
+    moved = PureState(n, moved.tensor().transpose(perm).reshape(-1))
+    before = lie_stabilizer_dim(psi).singular_values
+    after = lie_stabilizer_dim(moved).singular_values
+    assert np.max(abs(after - before)) <= 1e-12 * before[0]
+
+
 def test_discrete_search_recovers_pauli_strings():
     psi = make_gabcd(1, 2 + 1j, 3, 0.5)
     found = discrete_stabilizer_search(psi, restarts=32, seed=0)
@@ -181,11 +196,14 @@ def test_probe_requires_normalized():
 
 
 def test_searches_reject_nonpositive_tol():
+    # gabcd has three Pauli symmetries: a NaN tol would keep none of them (a
+    # "trivial" verdict) and an infinite one every swept row as a witness
     psi = make_gabcd(1, 2 + 1j, 3, 0.5)
     for search in (gtilde_triviality_probe, discrete_stabilizer_search,
                    lambda psi, **kw: phase_stabilizer_search(psi, 1j, **kw)):
-        with pytest.raises(ValueError, match="tolerance"):
-            search(psi, restarts=1, tol=0.0)
+        for tol in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                search(psi, restarts=1, tol=tol)
 
 
 def test_probe_rejects_zero_restarts():
@@ -347,7 +365,7 @@ def test_l4_random_path_witnesses():
 def test_correlations_match_dense_oracle(n):
     psi = sample_haar_state(n, 40 + n)
     amp = 2.0 * psi.amplitudes  # the tensors are those of the normalized state
-    tensors = _correlations(amp, n)
+    tensors = _correlations(amp)
     assert tensors.shape == (n - 1, 3, 3)
     for k in range(2, n + 1):
         for a, sa in enumerate(_PAULIS):
@@ -468,7 +486,7 @@ def test_circle_path_finds_the_exact_paths_symmetries(index, monkeypatch):
     - I||^2 non-zero, so its zeros must yield the three Pauli-type hits."""
     verdict = gtilde_triviality_probe(sample_haar_state(4, derive_rng(1, index, 0)))
     rep = verdict.representative
-    sv = np.linalg.svd(_correlations(rep.amplitudes, 4)[0], compute_uv=False)
+    sv = np.linalg.svd(_correlations(rep.amplitudes)[0], compute_uv=False)
     gaps = -np.diff(sv) / sv[0]
     monkeypatch.setattr(stabilizer, "_GAP_TOL", np.sqrt(gaps[0] * gaps[1]))
     assert _starts(rep, rep, 32, 0, True)[1] == "pair_circle"
