@@ -36,7 +36,7 @@ from .states import (
     _unitary_deviation,
 )
 from .critical import scale_to_critical
-from .stabilizer import _REPRESENTATIVE_TOL, _alternating_align
+from .stabilizer import _REPRESENTATIVE_TOL, _align, _require_budget
 
 __all__ = [
     "ConversionPlan",
@@ -180,14 +180,14 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
     """Search for an invertible chain g with g psi = phi (up to phase).
 
     Both states are scaled to their critical representatives (tol 1e-11,
-    as in the probe), a U(2)^n chain u aligns them from the starts of the
-    symmetry search, and g = (s_psi / s_phi) B^-1 u A is built from the
-    scaling chains A, B and their scalars.  Success is certified by
+    as in the probe), a U(2)^n chain u aligns them up to phase by the
+    symmetry search's Gauss-Newton polish from its starts (restarts >= 1
+    and seed >= 0 are checked on entry), and g = (s_psi / s_phi) B^-1 u A
+    is built from the scaling chains A, B and their scalars.  Success is certified by
     fidelity(g psi, phi) within 1e-8 of one; failure returns None and is
     inconclusive, not a proof of inequivalence.
     """
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
+    _require_budget(restarts, seed)
     _require_normalized(psi)
     _require_normalized(phi)
     scale_psi = scale_to_critical(psi, tol=_REPRESENTATIVE_TOL)
@@ -195,9 +195,8 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
     for res, name in ((scale_psi, "psi"), (scale_phi, "phi")):
         if res.status != "converged":
             raise ValueError(f"no critical representative for {name} ({res.status})")
-    factors, residuals, _ = _alternating_align(
-        scale_psi.representative, scale_phi.representative, (1.0,), restarts,
-        seed, special=False)
+    factors, residuals, _ = _align(scale_psi.representative, scale_phi.representative,
+                                   (1.0,), restarts, seed, special=False)
     u = factors[0, np.argmin(residuals[0])]
     a, b = scale_psi.accumulated_chain.factors, scale_phi.accumulated_chain.factors
     g = _rescaled_connector(psi, LocalOperatorChain(

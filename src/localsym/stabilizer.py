@@ -13,9 +13,9 @@ value ("pair_circle") they are critical points of two trigonometric
 polynomials on two circles.  Either way an empty result is a complete
 enumeration.  Otherwise the starts are Haar-random ("random"), and an
 empty result is numerical evidence at the given budget, not a proof.
-``_alternating_align`` (also used by ``convert``) polishes all starts,
-and at odd n the phases t = 1, i, -i, as one batch of alternating
-sweeps with closed-form 2x2 steps.
+``_align`` (also used by ``convert``) polishes all starts, and at odd n
+the phases t = 1, i, -i, as one batch of Gauss-Newton steps on the
+same Pauli images.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .states import (
     PureState,
     LocalOperatorChain,
     apply_chain,
-    apply_factor,
     derive_rng,
     _UNIT_AND_PAULIS,
     _apply_factors,
@@ -109,84 +108,69 @@ def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
 # compact-group search
 # ---------------------------------------------------------------------------
 
-_BATCH_BYTES = 1 << 24  # cap on the amplitudes of one batch of search rows
+_BATCH_BYTES = 1 << 24  # cap on the arrays of one batch of search rows
 _GAP_TOL = 1e-6  # relative gap below which two singular values of T_12 count as equal
 _COND_TOL = 1e6  # cond(T_1k) above which T_1k does not fix the rotation of qubit k
 _CANDIDATE_OVERLAP = 1e-3  # 1 - overlap above which an exact or circle row cannot become a hit
 _ROOT_RING = 1e-3  # ||z| - 1| below which a root of z^D f' is a candidate angle
 
 
-def _su2_step(m: np.ndarray) -> np.ndarray:
-    """u in SU(2) maximizing Re Tr(u m), for a stack of 2x2 matrices m.
-
-    With u = [[a, b], [-conj(b), conj(a)]], Re Tr(u m) = Re(a p + b q)
-    for p = m00 + conj(m11) and q = m10 - conj(m01), so the maximum over
-    |a|^2 + |b|^2 = 1 is at (a, b) = conj(p, q) / sqrt(|p|^2 + |q|^2).
-    """
-    p = m[..., 0, 0] + m[..., 1, 1].conj()
-    q = m[..., 1, 0] - m[..., 0, 1].conj()
-    # scale by the larger modulus in real arithmetic, exact even for subnormals
-    big = np.maximum(abs(p), abs(q))
-    big = np.where(big == 0.0, 1.0, big)
-    p, q = p.real / big + 1j * (p.imag / big), q.real / big + 1j * (q.imag / big)
-    p = np.where((p == 0.0) & (q == 0.0), 1.0, p)  # m = 0: take the identity
-    nrm = np.hypot(abs(p), abs(q))
-    a, b = p.conj() / nrm, q.conj() / nrm
-    return np.stack([a, b, -b.conj(), a.conj()], -1).reshape(a.shape + (2, 2))
+def _su2(q: np.ndarray) -> np.ndarray:
+    """q0 I - i q.sigma in SU(2) for a stack of unit quaternions q (..., 4)."""
+    u = q[..., :1] * _UNIT_AND_PAULIS[0] - 1j * (q[..., 1:] @ _UNIT_AND_PAULIS[1:])
+    return u.reshape(q.shape[:-1] + (2, 2))
 
 
-def _u2_step(m: np.ndarray) -> np.ndarray:
-    """u in U(2) maximizing Re Tr(u m), for a stack of 2x2 matrices m.
-
-    The phase h = exp(-i arg(det m) / 2) makes det(h m) real and
-    non-negative, so the U(2) maximizer for h m lies in SU(2) and the
-    one for m is h times it: u = h _su2_step(h m).
-    """
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    h = np.exp(-0.5j * np.angle(det))[..., None, None]
-    return h * _su2_step(h * m)
-
-
-def _sweep_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray,
-                factors: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize Re <t_r target|u_r psi> for every row r by alternating sweeps.
+def _polish_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray | None,
+                 factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||u_r psi - t_r target|| for every row r by Gauss-Newton steps.
 
     Returns ``factors`` (rows, n, 2, 2), updated in place, and the
-    residuals ||u_r psi - t_r target||.  chi = u psi is held, so updating
-    qubit k costs one overlap, C = u_k^dag <target|chi>_k, and one apply.
-    A row stops below 1e-14, also tested before the first sweep (a row
-    starting on a hit keeps its start), or after 8 stalled sweeps.
+    residuals.  Under u <- (x)_k exp(-i x_k.sigma / 2) u, chi = u psi moves
+    by -(i/2) x.P for P its Pauli images, so a step is the least-squares
+    x = -2 C^+ Re P^dag(i r), C the real Gram matrix of P and r = chi - t
+    target, scaled to max_k |x_k| <= pi/2.  With phases None (U(2)^n),
+    t_r is re-read each step as the phase of <target|chi>: i chi is
+    orthogonal to every Pauli image.  A row stops below 1e-14, also
+    tested before the first step (a row starting on a hit keeps its
+    start), after 8 steps without a 1e-3 relative fall below its best
+    residual (steps are not monotone: rounding noise at the floor must not
+    reset the count), or at 1000 steps.
     """
-    n = factors.shape[1]
     chi = _apply_factors(factors, psi)
-    want = phases[:, None] * target
-    residual = np.linalg.norm(chi - want, axis=1)
+    free = phases is None
+    t = np.exp(1j * np.angle(chi @ target.conj())) if free else phases
+    residual = np.linalg.norm(chi - t[:, None] * target, axis=1)
     live = np.flatnonzero(residual >= 1e-14)
     if not live.size:
         return factors, residual
-    # conj(target) with qubit k last: <target|chi> on qubit k is one matmul
-    bra = [target.conj().reshape(2**k, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
-           for k in range(n)]
-    chi, want, fac = chi[live], want[live], factors[live]
-    tbar = phases[live].conj()[:, None, None]
-    prev, stalls = np.full(live.size, np.inf), np.zeros(live.size, dtype=int)
-    for sweep in range(1000):
-        for k in range(n):
-            x = chi.reshape(live.size, 2**k, 2, -1).transpose(0, 2, 1, 3)
-            old_dag = fac[:, k].conj().swapaxes(-1, -2)
-            u = step(tbar * (old_dag @ (x.reshape(live.size, 2, -1) @ bra[k])))
-            chi = apply_factor(u @ old_dag, chi, k)
-            fac[:, k] = u
-        res = np.linalg.norm(chi - want, axis=1)
-        stalls = np.where(res > prev * (1.0 - 1e-3), stalls + 1, 0)
-        done = (res < 1e-14) | (stalls >= 8) | (sweep == 999)
+    chi, fac, t = chi[live], factors[live], t[live]
+    n = fac.shape[1]
+    best, stalls = np.full(live.size, np.inf), np.zeros(live.size, dtype=int)
+    for step in range(1000):
+        images = _pauli_images(chi).view(float)
+        grad = images @ (1j * (chi - t[:, None] * target)).view(float)[..., None]
+        x = (-2.0 * np.linalg.pinv(images @ images.swapaxes(-1, -2), hermitian=True)
+             @ grad).reshape(-1, n, 3)
+        length = np.linalg.norm(x, axis=-1, keepdims=True)
+        cap = np.maximum(1.0, length.max(axis=1, keepdims=True) / (0.5 * np.pi))
+        x, half = x / cap, 0.5 * length / cap
+        # q = (cos |x|/2, sin(|x|/2) x/|x|), finite at x = 0
+        fac = _su2(np.concatenate([np.cos(half), 0.5 * np.sinc(half / np.pi) * x], -1)) @ fac
+        chi = _apply_factors(fac, psi)
+        if free:
+            t = np.exp(1j * np.angle(chi @ target.conj()))
+        res = np.linalg.norm(chi - t[:, None] * target, axis=1)
+        stalls = np.where(res < best * (1.0 - 1e-3), 0, stalls + 1)
+        best = np.minimum(best, res)
+        done = (res < 1e-14) | (stalls >= 8) | (step == 999)
         factors[live[done]] = fac[done]
         residual[live[done]] = res[done]
         keep = ~done
         if not keep.any():
             break
-        live, fac, chi, want, tbar = live[keep], fac[keep], chi[keep], want[keep], tbar[keep]
-        prev, stalls = res[keep], stalls[keep]
+        live, fac, chi, t = live[keep], fac[keep], chi[keep], t[keep]
+        best, stalls = best[keep], stalls[keep]
     return factors, residual
 
 
@@ -202,9 +186,7 @@ def _su2_lift(r: np.ndarray) -> np.ndarray:
         [w[..., None], r + r.swapaxes(-1, -2) + (1 - tr) * np.eye(3)], -1)], -2)
     col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1)[..., None, None]
     q = np.take_along_axis(qq, col, -1)[..., 0]
-    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-    u = q[..., :1] * _UNIT_AND_PAULIS[0] - 1j * (q[..., 1:] @ _UNIT_AND_PAULIS[1:])
-    return u.reshape(q.shape[:-1] + (2, 2))
+    return _su2(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
 def _critical_angles(samples: np.ndarray) -> np.ndarray:
@@ -288,16 +270,18 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     return _su2_lift(circle(np.concatenate(theta), eps)), path
 
 
-def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
-                       seed: int, special: bool) -> tuple[np.ndarray, np.ndarray, str]:
-    """Maximize Re <t target|u psi> over SU(2)^n or U(2)^n from ``_starts``.
+def _align(psi: PureState, target: PureState, phases, restarts: int,
+           seed: int, special: bool) -> tuple[np.ndarray, np.ndarray, str]:
+    """Minimize ||u psi - t target|| over SU(2)^n, or over U(2)^n and the
+    phase t, by ``_polish_rows`` from ``_starts``.
 
     Every phase starts from the same rows.  On the exact and circle paths
     they are every candidate, and a row that does not start as a hit up
-    to _CANDIDATE_OVERLAP at its phase keeps its start and residual inf.
-    Returns factors (len(phases), rows, n, 2, 2), residuals ||u psi - t
-    target|| (len(phases), rows) and the path.  Rows are independent, so
-    chunks of ``_BATCH_BYTES`` change no row.  Callers check restarts >= 1.
+    to _CANDIDATE_OVERLAP at its phase keeps its start and residual inf;
+    a row at -t starts at t with its factor 0 negated.  Returns factors
+    (len(phases), rows, n, 2, 2), residuals (len(phases), rows) and the
+    path.  Rows are independent, so chunks of ``_BATCH_BYTES`` of Pauli
+    images change no row.  Callers check restarts >= 1.
     """
     phases = np.asarray(phases, dtype=complex)
     start, path = _starts(psi, target, restarts, seed, special)
@@ -307,15 +291,16 @@ def _alternating_align(psi: PureState, target: PureState, phases, restarts: int,
     if path != "random":
         ov = np.tile(_overlaps(start, psi, target), phases.size)
         # U(2)^n absorbs any phase, SU(2)^n a sign: -u_1 is in SU(2)
-        fit = abs((row_phases.conj() * ov).real) if special else abs(ov)
-        live = live[fit > 1.0 - _CANDIDATE_OVERLAP]
+        fit = (row_phases.conj() * ov).real if special else abs(ov)
+        live = live[abs(fit) > 1.0 - _CANDIDATE_OVERLAP]
+        factors[live[fit[live] < 0], 0] *= -1
     residuals = np.full(factors.shape[0], np.inf)
-    chunk = max(1, _BATCH_BYTES // (16 * psi.dim))
-    step = _su2_step if special else _u2_step
+    chunk = max(1, _BATCH_BYTES // (16 * 3 * psi.n * psi.dim))
     for lo in range(0, live.size, chunk):
         rows = live[lo:lo + chunk]
-        factors[rows], residuals[rows] = _sweep_rows(
-            psi.amplitudes, target.amplitudes, row_phases[rows], factors[rows], step)
+        factors[rows], residuals[rows] = _polish_rows(
+            psi.amplitudes, target.amplitudes, row_phases[rows] if special else None,
+            factors[rows])
     return (factors.reshape(phases.size, len(start), psi.n, 2, 2),
             residuals.reshape(phases.size, len(start)), path)
 
@@ -326,11 +311,14 @@ def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
                                    np.linalg.norm(a + b, axis=(-2, -1)))))
 
 
-def _require_budget(restarts: int, tol: float) -> None:
-    """Outside restarts >= 1 and 0 < tol < inf no row, or every row, is a hit."""
+def _require_budget(restarts: int, seed: int, tol: float | None = None) -> None:
+    """Outside restarts >= 1 and 0 < tol < inf no row, or every row, is a hit;
+    a negative seed is rejected on every start path, also those that read no seed."""
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    if not 0 < tol < np.inf:  # also true for nan
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if tol is not None and not 0 < tol < np.inf:  # also true for nan
         raise ValueError(f"search tolerance must be positive and finite, got {tol}")
 
 
@@ -338,14 +326,13 @@ def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
             ) -> tuple[list[tuple[complex, LocalOperatorChain, float]], str]:
     """Verified hits (t, u, ||u psi - t psi||) below tol in phase order, and the path.
 
-    Hits near the identity are dropped for t = 1, near-duplicates are
+    Hits near the identity are dropped for t = +-1, near-duplicates are
     merged per phase, and every kept chain is re-verified.
     """
-    all_factors, all_residuals, path = _alternating_align(psi, psi, phases, restarts,
-                                                          seed, special=True)
+    all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, special=True)
     hits: list[tuple[complex, LocalOperatorChain, float]] = []
     for t, factors, residuals in zip(phases, all_factors, all_residuals):
-        exclude_identity = abs(t - 1.0) <= 1e-12
+        exclude_identity = abs(t * t - 1.0) <= 1e-12  # -I on one qubit gives u psi = -psi
         found: list[LocalOperatorChain] = []
         for fac, residual in zip(factors, residuals):
             if residual >= tol:
@@ -382,11 +369,13 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     A hit exhibits a product symmetry of psi up to the global phase t,
     i.e. a GL-chain symmetry after relocating the scalar into one tensor
     factor.  With t = 1 this is the discrete search, under the same
-    preconditions (a ValueError names the one that fails).
+    preconditions (a ValueError names the one that fails).  At t = +-1
+    chains within the identity-exclusion radius are dropped: -I on one
+    qubit gives u psi = -psi for every state.
     """
     if abs(abs(t) - 1.0) > 1e-12:
         raise ValueError(f"phase must have unit modulus, got |t| = {abs(t)}")
-    _require_budget(restarts, tol)
+    _require_budget(restarts, seed, tol)
     crit = criticality_report(psi, tol=_CRITICAL_PRE_TOL)
     if not crit.is_critical:
         raise ValueError("precondition failed: criticality "
@@ -429,7 +418,7 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
     candidate, so a "trivial" verdict does not depend on the budget or
     the seed.
     """
-    _require_budget(restarts, tol)
+    _require_budget(restarts, seed, tol)
     scaling = scale_to_critical(psi, tol=_REPRESENTATIVE_TOL)
     if scaling.status != "converged":
         return TrivialityVerdict("inconclusive", f"critical_scaling:{scaling.status}",

@@ -249,10 +249,12 @@ _UNIT_AND_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]).reshape(4, 4)
 
 
 def _pauli_images(amp: np.ndarray) -> np.ndarray:
-    """(3n, 2**n) array whose row 3k + a is sigma_a on qubit k (0-based) of flat
-    amplitudes: the tangent map of sl(2, C)**n in a basis orthonormal on each
-    qubit.  Its real Gram matrix / ||amp||**2 is I_3 on diagonal blocks, T_jk off them."""
-    return np.concatenate([apply_factor(_PAULIS, amp, k) for k in range(amp.size.bit_length() - 1)])
+    """(..., 3n, 2**n) array whose row 3k + a is sigma_a on qubit k (0-based) of flat
+    amplitudes (..., 2**n): the tangent map of sl(2, C)**n in a basis orthonormal on
+    each qubit.  Its real Gram matrix / ||amp||**2 is I_3 on diagonal blocks, T_jk off them."""
+    amp = amp[..., None, :]
+    return np.concatenate([apply_factor(_PAULIS, amp, k)
+                           for k in range(amp.shape[-1].bit_length() - 1)], -2)
 
 
 def _correlations(amp: np.ndarray) -> np.ndarray:

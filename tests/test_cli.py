@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from localsym import cli, make_gabcd, make_ghz, make_ln, make_w
+from localsym import cli, make_gabcd, make_ghz, make_ln, make_w, sample_haar_state
 from localsym.cli import main
 from localsym.io import read_state, write_state, write_chain
 from localsym import LocalOperatorChain
@@ -152,6 +152,17 @@ def test_stab_rejects_zero_tol(tmp_path, capsys):
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert "tolerance" in captured.err and "Traceback" not in captured.err
+
+
+def test_stab_rejects_negative_seed(tmp_path, capsys):
+    # a Haar state takes the exact path, which reads no seed; L4 the random one
+    for psi in (sample_haar_state(5, 0), make_ln(4)):
+        state = tmp_path / "psi.json"
+        write_state(psi, state)
+        assert main(["stab", str(state), "--seed=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "seed" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

@@ -18,6 +18,7 @@ from localsym import (
     sample_haar_state,
 )
 
+from localsym import stabilizer
 from conftest import kron_all
 
 
@@ -216,14 +217,29 @@ def test_find_connector_on_pairs_random_starts_missed(n, psi_seed, g_seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(4, 8), st.integers(0, 2**31 - 1))
+@given(st.integers(3, 8), st.integers(0, 2**31 - 1))
 def test_find_connector_on_random_g_orbits(n, seed):
-    """phi = g psi / ||g psi|| is connected to psi by construction."""
+    """phi = g psi / ||g psi|| is connected to psi by construction.  At n = 3
+    the stabilizer is positive-dimensional, so the Gram matrix of the Pauli
+    images that the polish inverts is singular."""
     psi = sample_haar_state(n, seed)
     phi = apply_chain(sample_chain(n, "G", seed + 1), psi).normalized()
     g = find_connector(psi, phi)
     assert g is not None
     assert fidelity(apply_chain(g, psi), phi) > 1 - 1e-8
+
+
+def test_connector_row_at_the_rounding_floor_stops(monkeypatch):
+    """The polished row of this pair hovers at 1.0e-14, just above the stop
+    rule, with rounding noise; counting stalls against the previous step's
+    residual instead of the best one let it run for all 1000 steps."""
+    steps = []
+    images = stabilizer._pauli_images
+    monkeypatch.setattr(stabilizer, "_pauli_images", lambda amp: steps.append(1) or images(amp))
+    psi = sample_haar_state(8, 316)
+    phi = apply_chain(sample_chain(8, "G", 416), psi).normalized()
+    assert find_connector(psi, phi) is not None
+    assert len(steps) <= 20
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -242,6 +258,14 @@ def test_find_connector_rejects_zero_restarts():
     phi = apply_chain(sample_chain(4, "G", 9), psi).normalized()
     with pytest.raises(ValueError, match="restart"):
         find_connector(psi, phi, restarts=0)
+
+
+def test_find_connector_rejects_negative_seed():
+    # Haar four-qubit states take the exact path, which reads no seed
+    psi = sample_haar_state(4, 8)
+    phi = apply_chain(sample_chain(4, "G", 9), psi).normalized()
+    with pytest.raises(ValueError, match="seed"):
+        find_connector(psi, phi, seed=-1)
 
 
 def test_find_connector_inequivalent_states():

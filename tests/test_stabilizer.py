@@ -22,7 +22,7 @@ from localsym import (
 from localsym import critical, stabilizer
 from localsym.states import _PAULIS, _correlations, _ginibre, _haar_u2, derive_rng
 from localsym.stabilizer import (_DEDUP_RADIUS, _chain_distance, _critical_angles, _overlaps,
-                                 _starts, _su2_lift, _su2_step, _sweep_rows, _u2_step)
+                                 _polish_rows, _starts, _su2_lift)
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -211,12 +211,14 @@ def test_probe_rejects_zero_restarts():
         gtilde_triviality_probe(sample_haar_state(5, 0), restarts=0)
 
 
-@pytest.mark.parametrize("psi", [make_ghz(4), make_w(3), make_ln(5)],
-                         ids=["ghz4-lie-gate", "w3-null-cone", "l5-search"])
+@pytest.mark.parametrize("psi", [make_ghz(4), make_w(3), make_ln(5), make_ln(4)],
+                         ids=["ghz4-lie-gate", "w3-null-cone", "l5-search", "l4-random"])
 @pytest.mark.parametrize("budget,message", [({"restarts": 0}, "restart"),
-                                            ({"tol": 0.0}, "tolerance")])
+                                            ({"tol": 0.0}, "tolerance"),
+                                            ({"seed": -1}, "seed")])
 def test_probe_rejects_empty_budget_at_entry(psi, budget, message):
-    # GHZ4 and W3 stop at a gate before any search, so only an entry check sees the budget
+    # GHZ4 and W3 stop at a gate before any search, so only an entry check sees the
+    # budget; the circle path of L5 reads no seed, the random path of L4 does
     with pytest.raises(ValueError, match=message):
         gtilde_triviality_probe(psi, **budget)
 
@@ -239,42 +241,6 @@ def test_search_preconditions_compute_reductions_once(monkeypatch):
     # L5 is critical, so scaling stops at its first check and nothing re-checks it
     assert count_moments(monkeypatch, lambda: gtilde_triviality_probe(
         l5, restarts=1)) == 5
-
-
-def svd_su2_procrustes(m):
-    """Reference: u in SU(2) maximizing Re Tr(u m) from the SVD of m."""
-    u_l, s, vh = np.linalg.svd(m)
-    if s[0] == 0.0:
-        return np.eye(2, dtype=complex)
-    # u = vh^H diag(e^{i th1}, e^{i th2}) u_l^H with th1 + th2 fixed by det(u) = 1
-    phi = -np.angle(np.linalg.det(vh.conj().T @ u_l.conj().T))
-    th1 = np.arctan2(s[1] * np.sin(phi), s[0] + s[1] * np.cos(phi))
-    d = np.exp(1j * np.array([th1, phi - th1]))
-    return (vh.conj().T * d) @ u_l.conj().T
-
-
-def svd_u2_procrustes(m):
-    """Reference: u in U(2) maximizing Re Tr(u m), V W^H for m = W S V^H."""
-    w, _, vh = np.linalg.svd(m)
-    return (w @ vh).conj().T
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
-@example([0.0] * 8)  # m = 0
-@example([0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.5, 0.25])  # rank one: (1, i)^T (0.5, 0.25)
-def test_su2_step_matches_svd_reference(entries):
-    m = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
-    u = _su2_step(m)
-    assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-12
-    assert abs(np.linalg.det(u) - 1.0) < 1e-12
-    best = np.trace(svd_su2_procrustes(m) @ m).real
-    assert abs(np.trace(u @ m).real - best) < 1e-12
-    # the U(2) step, as used by the connector alignment
-    u = _u2_step(m)
-    assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-12
-    best = np.trace(svd_u2_procrustes(m) @ m).real
-    assert abs(np.trace(u @ m).real - best) < 1e-12
 
 
 def probe_outcome(psi):
@@ -306,7 +272,8 @@ def test_search_rows_do_not_depend_on_batch_size(seed):
         few = phase_stabilizer_search(psi, t, restarts=8, seed=seed)
         many = phase_stabilizer_search(psi, t, restarts=32, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stabilizer, "_BATCH_BYTES", 5 * 16 * psi.dim)  # 5 rows a chunk
+            # 5 rows a chunk: a chunk holds each row's 3n Pauli images
+            mp.setattr(stabilizer, "_BATCH_BYTES", 5 * 16 * 3 * psi.n * psi.dim)
             chunked = phase_stabilizer_search(psi, t, restarts=32, seed=seed)
         assert many
         assert [c.factors.tolist() for c, _ in chunked] == [c.factors.tolist() for c, _ in many]
@@ -326,20 +293,21 @@ def l5_hit_row():
 def test_rows_starting_on_a_hit_keep_their_start():
     psi, row = l5_hit_row()
     start = np.stack([row, _haar_u2(_ginibre(derive_rng(0), (5,)), True)])
-    factors, residual = _sweep_rows(psi.amplitudes, psi.amplitudes, np.array([1j, 1j]),
-                                    start.copy(), _su2_step)
+    factors, residual = _polish_rows(psi.amplitudes, psi.amplitudes, np.array([1j, 1j]),
+                                     start.copy())
     assert factors[0].tobytes() == start[0].tobytes()
     assert residual[0] < 1e-14
-    assert not np.array_equal(factors[1], start[1])  # the Haar row is swept
+    assert not np.array_equal(factors[1], start[1])  # the Haar row is polished
 
 
-def test_circle_row_started_off_its_hit_is_swept_onto_it():
+@pytest.mark.parametrize("offset", [1e-12, 1e-6, 1e-2])
+def test_circle_row_started_off_its_hit_is_swept_onto_it(offset):
     psi, row = l5_hit_row()
-    row[0] = np.diag(np.exp([-1e-12j, 1e-12j])) @ row[0]
+    row[0] = np.diag(np.exp([-1j * offset, 1j * offset])) @ row[0]
     out = apply_chain(LocalOperatorChain(row, "K"), psi).amplitudes
-    assert 1e-13 < np.linalg.norm(out - 1j * psi.amplitudes) < 1e-10
-    factors, residual = _sweep_rows(psi.amplitudes, psi.amplitudes, np.array([1j]),
-                                    row[None].copy(), _su2_step)
+    assert 0.1 * offset < np.linalg.norm(out - 1j * psi.amplitudes) < 10 * offset
+    factors, residual = _polish_rows(psi.amplitudes, psi.amplitudes, np.array([1j]),
+                                     row[None].copy())
     assert residual[0] < 1e-14
     assert not np.array_equal(factors[0], row)
 
@@ -394,10 +362,10 @@ def analytic_hits(n, t):
     """diag(a, conj a) with a^(2n - 2) = 1 and a^(n - 2) = t, one of each
     pair a, -a: the symmetries u L_n = t L_n of this form, each factor up
     to sign.  A sign on one factor moves t to -t, so a^(n - 2) = -t counts
-    as well, and the identity is no hit at t = 1."""
+    as well, and the identity is no hit at t = +-1."""
     roots = np.exp(1j * np.pi * np.arange(n - 1) / (n - 1))  # a^(2n - 2) = 1, up to sign
     return [np.diag([a, np.conj(a)]) for a in roots
-            if abs(a ** (2 * n - 4) - t * t) < 1e-9 and not (t == 1 and a == 1)]
+            if abs(a ** (2 * n - 4) - t * t) < 1e-9 and not (t * t == 1 and a == 1)]
 
 
 def has_analytic_hit(n, hits):
@@ -444,7 +412,7 @@ def test_ln_probe_finds_phase_witness_at_any_budget(n, restarts):
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
-@pytest.mark.parametrize("t", [1.0, 1j, -1j])
+@pytest.mark.parametrize("t", [1.0, 1j, -1j, -1.0])
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 @example(seed=10227)  # L7 at t = i: rounding noise in the top coefficients hid theta = pi
@@ -461,22 +429,34 @@ def test_ln_hits_are_exactly_the_analytic_symmetries(n, t, seed):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_circle_rows_start_on_their_hits(n, monkeypatch):
-    """Every swept circle row starts within 1e-12 of a hit, up to a factor
-    sign: the candidate angles are exact, so each hit costs at most one sweep."""
-    psi, starts, sweep = make_ln(n), [], stabilizer._sweep_rows
+    """Every polished circle row starts within 1e-12 of a hit at its own
+    phase: the candidate angles are exact, and a row at -t arrives with its
+    factor 0 negated, where the Gauss-Newton step would be stationary."""
+    psi, starts, polish = make_ln(n), [], stabilizer._polish_rows
 
-    def recording(amplitudes, target, phases, factors, step):
+    def recording(amplitudes, target, phases, factors):
         starts.append((phases, factors.copy()))
-        return sweep(amplitudes, target, phases, factors, step)
+        return polish(amplitudes, target, phases, factors)
 
-    monkeypatch.setattr(stabilizer, "_sweep_rows", recording)
+    monkeypatch.setattr(stabilizer, "_polish_rows", recording)
     for t in (1.0, 1j, -1j):
         phase_stabilizer_search(psi, t)
     assert starts
     for phases, factors in starts:
         for t, fac in zip(phases, factors):
             out = apply_chain(LocalOperatorChain(fac, "K"), psi).amplitudes
-            assert min(np.linalg.norm(out - s * t * psi.amplitudes) for s in (1, -1)) <= 1e-12
+            assert np.linalg.norm(out - t * psi.amplitudes) <= 1e-12
+
+
+def test_phase_search_at_minus_one_drops_the_trivial_chain():
+    """-I on one qubit gives u psi = -psi for every state, so at t = -1 the
+    identity is excluded as at t = 1: a Haar representative has no hit, and
+    gabcd has its three Pauli strings, each up to a factor sign."""
+    rep = gtilde_triviality_probe(sample_haar_state(6, 0)).representative
+    assert phase_stabilizer_search(rep, -1.0) == []
+    gabcd = make_gabcd(1, 2 + 1j, 3, 0.5)
+    assert_same_chains([c.factors for c, _ in phase_stabilizer_search(gabcd, -1.0)],
+                       [c.factors for c, _ in discrete_stabilizer_search(gabcd)])
 
 
 @pytest.mark.parametrize("index", range(6))
