@@ -29,10 +29,11 @@ from .states import (
     PureState,
     LocalOperatorChain,
     apply_chain,
-    apply_factor,
     fidelity,
     derive_rng,
+    _apply_next,
     _require_normalized,
+    _require_seed,
     _unitary_deviation,
 )
 from .critical import scale_to_critical
@@ -136,16 +137,16 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
         raise ValueError("plan has no measurements; use build_protocol")
     if not 0 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be non-negative and at most 2**63 - 1, got {trials}")
+    _require_seed(seed)
     _require_normalized(psi)
-    n = psi.n
-    cond_p = np.empty(n)
-    amp = psi.amplitudes
+    cond_p = np.empty(psi.n)
+    t = psi.amplitudes.reshape(2, -1)
     for j, (n0, _) in enumerate(plan.measurements):
-        amp = apply_factor(n0, amp, j)
-        nrm = np.linalg.norm(amp)
+        t = _apply_next(n0, t)
+        nrm = np.linalg.norm(t)
         cond_p[j] = nrm**2
-        amp = amp / nrm
-    final = PureState(n, complex(plan.connector.scalar) * amp)
+        t = t / nrm
+    final = PureState(psi.n, complex(plan.connector.scalar) * t.reshape(-1))
     success_fid = fidelity(final, plan.target)
 
     if trials == 0:

@@ -14,12 +14,12 @@ below threshold, or as a rank-deficient reduced density.
 
 Both hold the amplitudes as a (2, 2**(n-1)) matrix t whose rows index
 one qubit, read its density [[a, c], [c*, b]] as the moments of one 2x2
-Gram matrix (``states._moments``) and roll the next qubit into the rows
-with ``t.T.reshape(2, -1)``.  Deviation from I/2 and flattening factor
-are closed forms in the moments, so no eigensolver runs, and the
-scaling's convergence check stops at the first qubit outside tolerance.
-The Newton step reads its gradient and Hessian off the Pauli images
-(``states._pauli_images``) that also give the Lie probe and the T_1k.
+Gram matrix (``states._moments``) and roll the next qubit into the rows,
+by ``t.T.reshape(2, -1)`` or, with a factor, by ``states._apply_next``.
+Deviation from I/2 and flattening factor are closed forms in the
+moments, so no eigensolver runs; the convergence check stops at the
+first qubit outside tolerance.  The Newton step reads its gradient and
+Hessian off ``states._pauli_images``, as do the Lie probe and the T_1k.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .states import (
     sample_chain,
     derive_rng,
     _UNIT_AND_PAULIS,
+    _apply_factors,
+    _apply_next,
     _moments,
     _pauli_images,
     _require_normalized,
@@ -161,10 +163,10 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     the sweep's first step and the Newton step reuse) to the first that
     is not.  A run whose norm falls below 1e-6 of the initial norm, or
     whose sweep hits a numerically singular reduced density, is declared
-    ``null_cone``.  Each factor is applied by one matmul that also rolls
-    the next qubit into the rows; an iteration's factors enter the chain
-    in one batched matmul, at a null-cone exit within a sweep only those
-    already applied.
+    ``null_cone``.  Each factor is applied by ``states._apply_next``, one
+    matmul that also rolls the next qubit into the rows; an iteration's
+    factors enter the chain in one batched matmul, at a null-cone exit
+    within a sweep only those already applied.
     """
     if not 0 < tol < math.inf:  # also true for nan
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -197,9 +199,7 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
         newton = (_newton_factors(t, first[0] + first[1])
                   if _NEWTON_MIN_QUBITS <= n <= _NEWTON_MAX_QUBITS else None)
         if newton is not None:
-            u = t
-            for g in newton:
-                u = (u.T @ g.T).reshape(2, -1)
+            u = _apply_factors(newton, t.reshape(-1)).reshape(2, -1)
             if np.linalg.norm(u) <= trajectory[-1] * (1 + _NEWTON_NORM_SLACK):
                 t, steps[:] = u, newton
             else:
@@ -212,7 +212,7 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
                     acc[:k] = steps[:k] @ acc[:k]
                     return finish("null_cone", it)
                 steps[k] = g
-                t = (t.T @ g.T).reshape(2, -1)
+                t = _apply_next(g, t)
         acc = steps @ acc
         trajectory.append(float(np.linalg.norm(t)))
         if trajectory[-1] < _NULL_CONE_NORM_FRACTION * initial_norm:

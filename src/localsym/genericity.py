@@ -50,18 +50,12 @@ def _probe_record(index: int, psi: PureState, budget: SearchBudget,
                   probe_seed: int) -> SampleRecord:
     verdict = gtilde_triviality_probe(psi, restarts=budget.restarts,
                                       seed=probe_seed, tol=budget.tol)
-    if verdict.probe is None:
-        return SampleRecord(index, None, None, 0, verdict.verdict,
-                            verdict.failed_gate)
     probe = verdict.probe
-    return SampleRecord(
-        index,
-        probe.lie_dim,
-        float(probe.singular_values[-1]) if probe.singular_values.size else None,
-        len(probe.discrete_candidates),
-        verdict.verdict,
-        verdict.failed_gate,
-    )
+    if probe is None:
+        return SampleRecord(index, None, None, 0, verdict.verdict, verdict.failed_gate)
+    # singular_values holds 3n >= 6 values: the Lie probe pads a short svd
+    return SampleRecord(index, probe.lie_dim, float(probe.singular_values[-1]),
+                        len(probe.discrete_candidates), verdict.verdict, verdict.failed_gate)
 
 
 def genericity_report(n: int, samples: int, seed: int = 0,

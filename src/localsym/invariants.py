@@ -75,9 +75,7 @@ def f4(psi: PureState) -> SlipValue:
         raise ValueError("the degree-4 polynomial is defined for odd qubit counts only")
     if psi.n < 3:
         raise ValueError("need at least 3 qubits")
-    half = psi.dim // 2
-    phi0 = psi.amplitudes[:half]
-    phi1 = psi.amplitudes[half:]
+    phi0, phi1 = psi.amplitudes.reshape(2, -1)
     m = psi.n - 1
     b00 = _bilinear(phi0, phi0, m)
     b01 = _bilinear(phi0, phi1, m)

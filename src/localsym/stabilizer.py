@@ -35,6 +35,7 @@ from .states import (
     _ginibre,
     _haar_u2,
     _pauli_images,
+    _require_seed,
 )
 from .critical import criticality_report, scale_to_critical
 from .invariants import f2, f4
@@ -316,8 +317,7 @@ def _require_budget(restarts: int, seed: int, tol: float | None = None) -> None:
     a negative seed is rejected on every start path, also those that read no seed."""
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _require_seed(seed)
     if tol is not None and not 0 < tol < np.inf:  # also true for nan
         raise ValueError(f"search tolerance must be positive and finite, got {tol}")
 

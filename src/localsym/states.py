@@ -7,8 +7,9 @@ Conventions used throughout the package:
 * Qubit indices in the public API are 1-based (1..n).
 * A local operator chain g = g_1 (x) ... (x) g_n is one (n, 2, 2) stack
   of 2x2 matrices; the full 2**n x 2**n matrix is never materialized.
-* One matrix of Pauli images (``_pauli_images``) gives the Lie probe's
-  tangent SVD, the correlation tensors T_1k and the Newton Hessian.
+* ``_apply_next``, one matmul that also rolls the next qubit into the rows,
+  applies every 2x2 factor; one gather of Pauli images (``_pauli_images``)
+  gives the Lie probe's tangent SVD, the T_1k and the Newton Hessian.
 """
 
 from __future__ import annotations
@@ -203,24 +204,20 @@ def make_gabcd(a: complex, b: complex, c: complex, d: complex,
 # state arithmetic
 # ---------------------------------------------------------------------------
 
-def apply_factor(u: np.ndarray, amp: np.ndarray, k: int) -> np.ndarray:
-    """The 2x2 matrix u applied to qubit k (0-based) of flat amplitudes.
-
-    ``u`` has shape (..., 2, 2) and ``amp`` shape (..., 2**n); their
-    leading axes are batch axes and broadcast against each other.
-    """
-    t = amp.reshape(amp.shape[:-1] + (2**k, 2, -1))
-    out = (u[..., None, :, 0, None] * t[..., None, 0, :]
-           + u[..., None, :, 1, None] * t[..., None, 1, :])
-    return out.reshape(out.shape[:-3] + (-1,))
+def _apply_next(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g (..., 2, 2) applied to the qubit in the rows of t (..., 2, m), rolling the next
+    qubit into the rows (n calls go round once); leading axes broadcast."""
+    out = t.swapaxes(-1, -2) @ g.swapaxes(-1, -2)
+    return out.reshape(out.shape[:-2] + (2, -1))
 
 
 def _apply_factors(factors: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """The chain of (..., n, 2, 2) factors applied to flat amplitudes
-    (..., 2**n) one qubit at a time; leading axes broadcast as rows."""
+    """The chain of (..., n, 2, 2) factors applied to flat amplitudes (..., 2**n)
+    by one ``_apply_next`` per qubit; leading axes broadcast as rows."""
+    t = amp.reshape(amp.shape[:-1] + (2, -1))
     for k in range(factors.shape[-3]):
-        amp = apply_factor(factors[..., k, :, :], amp, k)
-    return amp
+        t = _apply_next(factors[..., k, :, :], t)
+    return t.reshape(t.shape[:-2] + (-1,))
 
 
 def apply_chain(chain: LocalOperatorChain, psi: PureState) -> PureState:
@@ -251,10 +248,13 @@ _UNIT_AND_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]).reshape(4, 4)
 def _pauli_images(amp: np.ndarray) -> np.ndarray:
     """(..., 3n, 2**n) array whose row 3k + a is sigma_a on qubit k (0-based) of flat
     amplitudes (..., 2**n): the tangent map of sl(2, C)**n in a basis orthonormal on
-    each qubit.  Its real Gram matrix / ||amp||**2 is I_3 on diagonal blocks, T_jk off them."""
-    amp = amp[..., None, :]
-    return np.concatenate([apply_factor(_PAULIS, amp, k)
-                           for k in range(amp.shape[-1].bit_length() - 1)], -2)
+    each qubit.  Its real Gram matrix / ||amp||**2 is I_3 on diagonal blocks, T_jk off them.
+    One gather: sigma_x flips qubit k's bit of the index, sigma_z is its sign, sigma_y = -i z x."""
+    j = np.arange(amp.shape[-1])
+    bits = (j.size >> np.arange(1, j.size.bit_length()))[:, None]  # row k: qubit k's bit
+    x, z = amp[..., j ^ bits], np.where(j & bits, -1.0, 1.0)
+    images = np.stack([x, -1j * z * x, z * amp[..., None, :]], -2)  # (..., n, 3, 2**n)
+    return images.reshape(amp.shape[:-1] + (-1, j.size))
 
 
 def _correlations(amp: np.ndarray) -> np.ndarray:
@@ -287,8 +287,15 @@ def fidelity(psi: PureState, phi: PureState) -> float:
 # seeded samplers
 # ---------------------------------------------------------------------------
 
+def _require_seed(seed) -> None:
+    """An integer seed must be non-negative; numpy's own error does not name it."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def derive_rng(seed, *indices) -> np.random.Generator:
     """Deterministic per-subtask generator, stable under any schedule."""
+    _require_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, indices)]))
 
 
@@ -296,6 +303,7 @@ def sample_haar_state(n: int, seed) -> PureState:
     """Haar-random n-qubit state: normalized complex Gaussian vector."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, z / np.linalg.norm(z))
@@ -330,6 +338,7 @@ def sample_chain(n: int, group_tag: str, seed) -> LocalOperatorChain:
     """
     if group_tag not in GROUP_TAGS:
         raise ValueError(f"unknown group tag {group_tag!r}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     z = _ginibre(rng, (n,))
     if group_tag in ("K", "Kt"):

@@ -154,15 +154,25 @@ def test_stab_rejects_zero_tol(tmp_path, capsys):
             assert "tolerance" in captured.err and "Traceback" not in captured.err
 
 
-def test_stab_rejects_negative_seed(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
     # a Haar state takes the exact path, which reads no seed; L4 the random one
-    for psi in (sample_haar_state(5, 0), make_ln(4)):
-        state = tmp_path / "psi.json"
-        write_state(psi, state)
-        assert main(["stab", str(state), "--seed=-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert "seed" in captured.err and "Traceback" not in captured.err
+    ["stab", "haar5.json"],
+    ["stab", "l4.json"],
+    ["gen", "haar", "--n", "3"],
+    ["protocol", "l5.json", "c.json"],
+    ["genericity", "--n", "4", "--samples", "1"],
+], ids=["stab-haar", "stab-l4", "gen-haar", "protocol", "genericity"])
+def test_negative_seed_exits_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_state(sample_haar_state(5, 0), "haar5.json")
+    write_state(make_ln(4), "l4.json")
+    write_state(make_ln(5), "l5.json")
+    write_chain(l5_chain(), "c.json")
+    assert main(argv + ["--seed=-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "seed" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

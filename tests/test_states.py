@@ -22,9 +22,11 @@ from localsym import (
     build_protocol,
     simulate_protocol,
     find_connector,
+    genericity_report,
 )
+from localsym.states import _apply_factors, _pauli_images
 
-from conftest import SIGMA_X, kron_all
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
 
 def test_purestate_validates_length():
@@ -136,6 +138,45 @@ def test_apply_chain_matches_dense_kron():
     out = apply_chain(chain, psi)
     expect = kron_all(chain.factors) @ psi.amplitudes
     np.testing.assert_allclose(out.amplitudes, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_factors_batched_rows_match_dense_kron(n):
+    """Rows of factors against one state, and against one state per row."""
+    rng = np.random.default_rng(n)
+    factors = rng.standard_normal((3, n, 2, 2)) + 1j * rng.standard_normal((3, n, 2, 2))
+    amps = rng.standard_normal((3, 2**n)) + 1j * rng.standard_normal((3, 2**n))
+    dense = [kron_all(f) for f in factors]
+    one = _apply_factors(factors, amps[0])
+    rows = _apply_factors(factors, amps)
+    assert one.shape == rows.shape == (3, 2**n)
+    for r in range(3):
+        for got, expect in ((one[r], dense[r] @ amps[0]), (rows[r], dense[r] @ amps[r])):
+            assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def dense_pauli_images(amp):
+    """Row 3k + a: sigma_a on qubit k as an np.kron Pauli string times amp."""
+    n = amp.size.bit_length() - 1
+    return np.array([kron_all([np.eye(2)] * k + [s] + [np.eye(2)] * (n - k - 1)) @ amp
+                     for k in range(n) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+@pytest.mark.parametrize("psi", [
+    make_ln(5), make_ghz(4), make_w(3),
+    PureState(3, np.kron(np.kron([1, 0], [0.6, 0.8j]), [0, 1])),
+    sample_haar_state(1, 3), sample_haar_state(6, 4),
+], ids=["L5", "GHZ4", "W3", "product", "haar1", "haar6"])
+def test_pauli_images_match_dense_pauli_strings(psi):
+    """Values, not bytes: on zero amplitudes the signs of zeros are not pinned."""
+    amp = psi.amplitudes
+    expect = dense_pauli_images(amp)
+    np.testing.assert_array_equal(_pauli_images(amp), expect)
+    batch = np.stack([amp, 1j * amp[::-1]])
+    images = _pauli_images(batch)
+    assert images.shape == (2, 3 * psi.n, psi.dim)
+    np.testing.assert_array_equal(images[0], expect)
+    np.testing.assert_array_equal(images[1], dense_pauli_images(1j * amp[::-1]))
 
 
 def test_apply_diag_on_ghz3():
@@ -286,3 +327,23 @@ _ENTRY_POINTS = {
 def test_entry_points_reject_unnormalized_state(entry):
     with pytest.raises(ValueError, match="state must be normalized, got norm"):
         entry(PureState(5, 2 * _UNIT.amplitudes))
+
+
+_SEEDED_ENTRY_POINTS = {
+    "sample_haar_state": lambda seed: sample_haar_state(3, seed),
+    "sample_chain": lambda seed: sample_chain(3, "G", seed),
+    "genericity_report": lambda seed: genericity_report(4, 1, seed=seed),
+    "simulate_protocol": lambda seed: simulate_protocol(
+        build_protocol(_UNIT, _CHAIN), _UNIT, 10, seed),
+    # an empty run reads no seed, but the seed is still an input
+    "simulate_protocol no trials": lambda seed: simulate_protocol(
+        build_protocol(_UNIT, _CHAIN), _UNIT, 0, seed),
+}
+
+
+@pytest.mark.parametrize("entry", _SEEDED_ENTRY_POINTS.values(),
+                         ids=_SEEDED_ENTRY_POINTS.keys())
+def test_entry_points_name_a_negative_seed(entry):
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        entry(-1)
+    entry(np.int64(0))  # numpy integer seeds pass
