@@ -2,8 +2,8 @@
 
 Subcommands: gen, analyze, scale, stab, pmax, protocol, genericity.
 Each subcommand declares only the options its ``cmd_*`` reads.  Reports
-are JSON envelopes whose ``parameters`` echo is the parsed arguments
-themselves, all but the output paths, so it reproduces the run (seeds,
+are one-line JSON envelopes whose ``parameters`` echo is the parsed
+arguments, all but the output paths, so it reproduces the run (seeds,
 tolerances, budgets included).  ``--n`` is bounded by ``MAX_QUBITS``
 before anything is allocated.  Exit codes: 0 success or verdict,
 1 usage or input error (argparse parse errors included), 2 numerical
@@ -13,6 +13,7 @@ non-convergence (``scale`` stopping at ``--max-iter``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -50,17 +51,17 @@ def _qubit_count(text: str) -> int:
 
 
 def _report(args, payload: dict) -> None:
-    """Write the JSON envelope to --out or stdout; the parameter echo is
-    every parsed argument but the output paths."""
+    """Write the envelope as one JSON line to --out or stdout, in one encoder
+    pass with ``jsonify`` as its fallback; the echo is all but the output paths."""
     parameters = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     text = json.dumps({
         "tool": "localsym",
         "version": __version__,
         "command": args.command,
-        "parameters": jsonify(parameters),
+        "parameters": parameters,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "payload": jsonify(payload),
-    }, indent=2)
+        "payload": payload,
+    }, default=jsonify)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -223,10 +224,12 @@ def cmd_genericity(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, declaring only the options it reads.
 
-    Declaration order is the key order of the parameter echo.
+    Built on first use and then reused, as parsing leaves it unchanged;
+    declaration order is the key order of the parameter echo.
     """
     parser = argparse.ArgumentParser(
         prog="localsym",

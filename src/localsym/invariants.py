@@ -37,7 +37,7 @@ class SlipValue:
 
 
 def _sigma_y_power_apply(vec: np.ndarray, m: int) -> np.ndarray:
-    """sigma_y^(x)m applied to a length-2**m vector.
+    """sigma_y^(x)m applied along the last axis, of length 2**m.
 
     sigma_y sends |0> -> i|1> and |1> -> -i|0>, so basis index j maps to
     its bit complement with phase i**m * (-1)**popcount(j).
@@ -45,7 +45,7 @@ def _sigma_y_power_apply(vec: np.ndarray, m: int) -> np.ndarray:
     signs = np.ones(1)
     for _ in range(m):  # one more bit: the upper half flips parity
         signs = np.concatenate([signs, -signs])
-    return (1j**m) * (signs * vec)[::-1]
+    return (1j**m) * (signs * vec)[..., ::-1]
 
 
 def _bilinear(u: np.ndarray, v: np.ndarray, m: int) -> complex:
@@ -68,20 +68,16 @@ def f4(psi: PureState) -> SlipValue:
     """Degree-4 SLIP for an odd number of qubits.
 
     Splits |psi> = |0>|phi_0> + |1>|phi_1> on the first qubit, forms the
-    2x2 matrix of sigma_y bilinear forms between the halves, and returns
-    its determinant.
+    2x2 matrix of sigma_y bilinear forms between the halves in one
+    product, and returns its determinant.
     """
     if psi.n % 2 == 0:
         raise ValueError("the degree-4 polynomial is defined for odd qubit counts only")
     if psi.n < 3:
         raise ValueError("need at least 3 qubits")
-    phi0, phi1 = psi.amplitudes.reshape(2, -1)
-    m = psi.n - 1
-    b00 = _bilinear(phi0, phi0, m)
-    b01 = _bilinear(phi0, phi1, m)
-    b10 = _bilinear(phi1, phi0, m)
-    b11 = _bilinear(phi1, phi1, m)
-    return SlipValue(b00 * b11 - b01 * b10, 4)
+    halves = psi.amplitudes.reshape(2, -1)
+    b = halves @ _sigma_y_power_apply(halves, psi.n - 1).T
+    return SlipValue(complex(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]), 4)
 
 
 def check_invariance(poly_id: str, psi: PureState, trials: int = 50,

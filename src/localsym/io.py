@@ -105,15 +105,12 @@ def read_chain(path) -> LocalOperatorChain:
 
 
 def jsonify(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays and complex values to JSON."""
-    if isinstance(obj, dict):
-        return {k: jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
+    """``default`` hook of ``json.dumps``: an array to lists, a complex value to
+    [re, im] (a float if real), a numpy scalar to Python; else TypeError."""
     if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (complex, np.complexfloating)):
-        return complex_pair(obj) if np.imag(obj) else float(np.real(obj))
+        return complex_pair(obj) if obj.imag else float(obj.real)
     if isinstance(obj, np.generic):  # numpy float, int or bool
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,9 +14,8 @@ from localsym.cli import main
 from localsym.io import read_state, write_state, write_chain
 from localsym import LocalOperatorChain
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
 
 
 def l5_chain():
@@ -392,5 +394,53 @@ def test_qubit_bound_is_inclusive(monkeypatch):
 
 @pytest.mark.parametrize("argv", [["--help"], ["stab", "--help"]])
 def test_help_exits_zero(argv, capsys):
-    assert main(argv) == 0
-    assert "usage:" in capsys.readouterr().out
+    for _ in range(2):  # the parser is reused after --help
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+def test_reused_parser_gives_the_same_report(tmp_path, monkeypatch, capsys):
+    """One argv run twice in one process: equal reports but for the timestamp."""
+    monkeypatch.chdir(tmp_path)
+    write_state(make_ln(5), "l5.json")
+    write_chain(l5_chain(), "c.json")
+    argv = ["protocol", "l5.json", "c.json", "--trials", "100", "--seed", "3"]
+    (code1, doc1), (code2, doc2) = run(argv, capsys), run(argv, capsys)
+    assert code1 == code2 == 0
+    assert doc1.pop("timestamp") and doc2.pop("timestamp")
+    assert doc1 == doc2
+
+
+def test_valid_call_after_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "l5.json"
+    write_state(make_ln(5), path)
+    assert main(["analyze", str(path), "--seed", "1"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, doc = run(["analyze", str(path)], capsys)
+    assert code == 0
+    check_envelope(doc)
+    assert doc["parameters"] == {"state": str(path), "tol": 1e-10}
+
+
+def test_stdout_report_is_one_json_line(tmp_path, capsys):
+    path = tmp_path / "w3.json"
+    write_state(make_w(3), path)
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("}\n") and out.count("\n") == 1
+    check_envelope(json.loads(out))
+
+
+def test_module_entry_point_in_a_real_process(tmp_path):
+    """``python -m localsym.cli`` writes a state file, then a one-line report."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    path = tmp_path / "l5.json"
+    for argv in (["gen", "ln", "--n", "5", "--out", str(path)], ["stab", str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "localsym.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert read_state(path).n == 5
+    [line] = proc.stdout.splitlines()
+    doc = json.loads(line)
+    check_envelope(doc)
+    assert doc["command"] == "stab" and doc["payload"]["verdict"] == "non_trivial"

@@ -344,13 +344,16 @@ def two_qubit_spectra(amp, n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([1e-10, 1e-11]))
+@example(4, 996488, 1e-10)  # the sweeps alone need 10 336 iterations
 def test_newton_steps_reach_the_sweep_orbit(n, seed, tol):
     """Newton steps end on the unitary orbit the sweeps end on: same status
     and minimal norm, same two-qubit spectra, a unit-determinant chain and
-    no norm rise beyond rounding."""
+    no norm rise beyond rounding.  The sweep-only reference gets a budget
+    it does not exhaust, so it is never compared while unfinished."""
     psi = sample_haar_state(n, seed)
     result = scale_to_critical(psi, tol=tol)
-    status, _, _, _, rep, scalar = eager_scaling(psi, tol, 10_000, newton=False)
+    status, _, _, _, rep, scalar = eager_scaling(psi, tol, 100_000, newton=False)
+    assert status != "max_iter"
     assert result.status == status
     assert abs(result.scalar - scalar) <= 1e-12 * abs(scalar)
     if rep is not None:

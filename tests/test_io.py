@@ -139,14 +139,18 @@ def test_chain_dict_validates_group():
 
 
 def test_jsonify_handles_numpy_types():
-    doc = jsonify({
+    doc = {
         "a": np.float64(1.5),
         "b": np.int32(3),
         "c": np.bool_(True),
         "d": np.array([1.0, 2.0]),
         "e": 1 + 2j,
         "f": np.complex128(4.0),
-    })
-    assert doc == {"a": 1.5, "b": 3, "c": True, "d": [1.0, 2.0],
-                   "e": [1.0, 2.0], "f": 4.0}
-    json.dumps(doc)  # must be serializable
+    }
+    assert json.loads(json.dumps(doc, default=jsonify)) == {
+        "a": 1.5, "b": 3, "c": True, "d": [1.0, 2.0], "e": [1.0, 2.0], "f": 4.0}
+
+
+def test_jsonify_rejects_unsupported_types():
+    with pytest.raises(TypeError, match="set"):
+        json.dumps({"a": {1, 2}}, default=jsonify)
