@@ -42,9 +42,8 @@ def _sigma_y_power_apply(vec: np.ndarray, m: int) -> np.ndarray:
     sigma_y sends |0> -> i|1> and |1> -> -i|0>, so basis index j maps to
     its bit complement with phase i**m * (-1)**popcount(j).
     """
-    signs = np.ones(1)
-    for _ in range(m):  # one more bit: the upper half flips parity
-        signs = np.concatenate([signs, -signs])
+    j = np.arange(1 << m)
+    signs = np.where(np.bitwise_xor.reduce(j >> np.arange(m)[:, None], 0) & 1, -1.0, 1.0)
     return (1j**m) * (signs * vec)[..., ::-1]
 
 

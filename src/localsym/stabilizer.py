@@ -3,7 +3,8 @@
 The continuous part measures the dimension of the Lie-algebra
 stabilizer {X in Lie(G) : X|psi> = 0} from the singular values of the
 tangent map X -> X|psi>, whose columns are the Pauli images
-``states._pauli_images``.  The discrete part finds isolated symmetries
+``states._pauli_images`` (square roots of their Gram matrix's eigenvalues,
+with their SVD as the fallback).  The discrete part finds isolated symmetries
 u psi = t psi in SU(2)^n, where every product-operator symmetry of a
 critical state with zero-dimensional stabilizer lies.  Such a u rotates
 the correlation tensors of qubits 1 and k, T_1k(u psi) = R_1 T_1k(psi)
@@ -13,9 +14,9 @@ value ("pair_circle") they are critical points of two trigonometric
 polynomials on two circles.  Either way an empty result is a complete
 enumeration.  Otherwise the starts are Haar-random ("random"), and an
 empty result is numerical evidence at the given budget, not a proof.
-``_align`` (also used by ``convert``) polishes all starts, and at odd n
-the phases t = 1, i, -i, as one batch of Gauss-Newton steps on the
-same Pauli images.
+``_align`` (also used by ``convert``) applies all starts once, for all
+phases t = 1, i, -i at odd n, and polishes the rows off a hit as one batch
+of Gauss-Newton steps; ``_search`` verifies the hits in one pass.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .states import (
     _correlations,
     _ginibre,
     _haar_u2,
+    _pauli_gram,
     _pauli_images,
     _require_seed,
 )
@@ -81,17 +83,23 @@ class TrivialityVerdict:
     tol: float
 
 
-def _lie_probe(psi: PureState, is_critical: bool) -> StabilizerProbe:
-    """``lie_stabilizer_dim`` for a caller that knows whether psi is critical;
-    Span_C{sigma_x, sigma_y, sigma_z} = sl(2, C): the Pauli images are the map."""
-    sv = np.linalg.svd(_pauli_images(psi.amplitudes), compute_uv=False)
-    # pad to 3n entries: for 2**n < 3n the matrix is tall and the svd
-    # reports only 2**n values, the rest of the kernel is structural
-    sv = np.concatenate([sv, np.zeros(max(0, 3 * psi.n - sv.size))])
+def _lie_probe(psi: PureState, is_critical: bool) -> tuple[StabilizerProbe, np.ndarray]:
+    """``lie_stabilizer_dim`` for a caller that knows whether psi is critical, and psi's
+    ``_pauli_gram`` C.  For critical psi the Pauli images P (sl(2, C)**n) have P P^dag = C
+    (diagonal blocks I_3 + i eps_abc <sigma_c> = I_3, Hermitian products off them), so
+    sigma = sqrt(eig C).  The SVD of P decides when lambda_min < 1e-8 lambda_max (lambda
+    cannot resolve a 1e-8 sigma cutoff), if psi is not known critical or 2**n < 3n."""
+    gram = _pauli_gram(psi.amplitudes)
+    lam = np.linalg.eigvalsh(gram)[::-1] if is_critical and psi.dim >= 3 * psi.n else [0.0]
+    if lam[-1] >= 1e-8 * lam[0] > 0:
+        sv = np.sqrt(lam)
+    else:  # pad to 3n: for 2**n < 3n the svd has 2**n values, the rest is structural
+        sv = np.linalg.svd(_pauli_images(psi.amplitudes), compute_uv=False)
+        sv = np.concatenate([sv, np.zeros(max(0, 3 * psi.n - sv.size))])
     smax = sv[0]
     rank = int(np.sum(sv > _SVD_CUTOFF * smax)) if smax > 0 else 0
     lie_dim = 3 * psi.n - rank
-    return StabilizerProbe(lie_dim, sv, is_critical and lie_dim == 0)
+    return StabilizerProbe(lie_dim, sv, is_critical and lie_dim == 0), gram
 
 
 def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
@@ -99,10 +107,11 @@ def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
 
     Counts singular values of the tangent map, the 3n Pauli images, at
     or below 1e-8 sigma_max; rank and dimension always add up to 3n.
-    The Pauli basis is orthonormal, so the singular values are invariant
-    under local unitaries and qubit permutations.
+    They come from the images' Gram eigenvalues, with the SVD as the
+    fallback (``_lie_probe``).  The Pauli basis is orthonormal, so they are
+    invariant under local unitaries and qubit permutations.
     """
-    return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical)
+    return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,36 +132,34 @@ def _su2(q: np.ndarray) -> np.ndarray:
 
 
 def _polish_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray | None,
-                 factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ||u_r psi - t_r target|| for every row r by Gauss-Newton steps.
+                 factors: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||u_r psi - t_r target|| for every row r by Gauss-Newton steps
+    from the rows u_r of ``factors`` (rows, n, 2, 2), with chi = u_r psi.
 
-    Returns ``factors`` (rows, n, 2, 2), updated in place, and the
-    residuals.  Under u <- (x)_k exp(-i x_k.sigma / 2) u, chi = u psi moves
-    by -(i/2) x.P for P its Pauli images, so a step is the least-squares
-    x = -2 C^+ Re P^dag(i r), C the real Gram matrix of P and r = chi - t
-    target, scaled to max_k |x_k| <= pi/2.  With phases None (U(2)^n),
-    t_r is re-read each step as the phase of <target|chi>: i chi is
-    orthogonal to every Pauli image.  A row stops below 1e-14, also
-    tested before the first step (a row starting on a hit keeps its
-    start), after 8 steps without a 1e-3 relative fall below its best
-    residual (steps are not monotone: rounding noise at the floor must not
-    reset the count), or at 1000 steps.
+    Returns ``factors``, updated in place, and the residuals.  Under u <- (x)_k
+    exp(-i x_k.sigma / 2) u, chi moves by -(i/2) x.P for P its Pauli images, so
+    a step is the least-squares x = -2 C^+ g, g = Re P^dag(i r), C the real Gram
+    matrix of P and r = chi - t target, with model residual ||r||^2 + x.g / 2,
+    scaled to max_k |x_k| <= pi/2.  With phases None (U(2)^n), t_r is re-read
+    each step as the phase of <target|chi>: i chi is orthogonal to every Pauli
+    image.  A row stops below 1e-14, after 8 steps without a 1e-3 relative fall
+    below its best residual (steps are not monotone: rounding noise at the floor
+    must not reset the count), after a step whose model could not lower it by
+    1e-3 (stationary: r nearly orthogonal to P, as at a connector's floor), or
+    at 1000 steps.
     """
-    chi = _apply_factors(factors, psi)
     free = phases is None
     t = np.exp(1j * np.angle(chi @ target.conj())) if free else phases
-    residual = np.linalg.norm(chi - t[:, None] * target, axis=1)
-    live = np.flatnonzero(residual >= 1e-14)
-    if not live.size:
-        return factors, residual
-    chi, fac, t = chi[live], factors[live], t[live]
-    n = fac.shape[1]
+    live, fac, n = np.arange(len(factors)), factors, factors.shape[1]
+    residual = np.empty(len(factors))
     best, stalls = np.full(live.size, np.inf), np.zeros(live.size, dtype=int)
     for step in range(1000):
         images = _pauli_images(chi).view(float)
-        grad = images @ (1j * (chi - t[:, None] * target)).view(float)[..., None]
-        x = (-2.0 * np.linalg.pinv(images @ images.swapaxes(-1, -2), hermitian=True)
-             @ grad).reshape(-1, n, 3)
+        ir = (1j * (chi - t[:, None] * target)).view(float)
+        grad = images @ ir[..., None]
+        x = -2.0 * np.linalg.pinv(images @ images.swapaxes(-1, -2), hermitian=True) @ grad
+        flat = -0.5 * np.sum(x * grad, axis=(1, 2)) <= (1 - (1 - 1e-3) ** 2) * np.sum(ir * ir, 1)
+        x = x.reshape(-1, n, 3)
         length = np.linalg.norm(x, axis=-1, keepdims=True)
         cap = np.maximum(1.0, length.max(axis=1, keepdims=True) / (0.5 * np.pi))
         x, half = x / cap, 0.5 * length / cap
@@ -164,7 +171,7 @@ def _polish_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray | None,
         res = np.linalg.norm(chi - t[:, None] * target, axis=1)
         stalls = np.where(res < best * (1.0 - 1e-3), 0, stalls + 1)
         best = np.minimum(best, res)
-        done = (res < 1e-14) | (stalls >= 8) | (step == 999)
+        done = (res < 1e-14) | (stalls >= 8) | flat | (step == 999)
         factors[live[done]] = fac[done]
         residual[live[done]] = res[done]
         keep = ~done
@@ -180,49 +187,45 @@ def _su2_lift(r: np.ndarray) -> np.ndarray:
     for a stack of rotations r: u = q0 I - i q.sigma for the unit
     quaternion q, read off the column of 4 q q^T (linear in r) with the
     largest diagonal entry."""
-    tr = np.trace(r, axis1=-2, axis2=-1)[..., None, None]
-    w = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
-                  r[..., 1, 0] - r[..., 0, 1]], -1)
-    qq = np.concatenate([np.concatenate([1 + tr, w[..., None, :]], -1), np.concatenate(
-        [w[..., None], r + r.swapaxes(-1, -2) + (1 - tr) * np.eye(3)], -1)], -2)
+    tr = np.trace(r, axis1=-2, axis2=-1)
+    qq = np.empty(r.shape[:-2] + (4, 4))
+    qq[..., 0, 0] = 1 + tr
+    qq[..., 0, 1:] = qq[..., 1:, 0] = (r - r.swapaxes(-1, -2))[..., [2, 0, 1], [1, 2, 0]]
+    qq[..., 1:, 1:] = r + r.swapaxes(-1, -2) + (1 - tr)[..., None, None] * np.eye(3)
     col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1)[..., None, None]
     q = np.take_along_axis(qq, col, -1)[..., 0]
     return _su2(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
-def _critical_angles(samples: np.ndarray) -> np.ndarray:
-    """Critical points of the real trigonometric polynomial f of degree
-    D = len(samples) / 2 - 1 sampled at 2D + 2 equispaced angles from 0:
-    the roots z = exp(i theta) of the degree-2D polynomial z^D f'(theta),
-    each polished by Newton steps on f'.  Outer coefficients of f' below
-    1e-12 max(1, max|f|), rounding noise of a lower true degree that would
-    push roots off the unit circle, are dropped.  A constant f gives theta = 0."""
-    k = np.arange(1 - samples.size // 2, samples.size // 2)  # -D..D
-    d1 = 1j * k * np.fft.fft(samples)[k] / samples.size  # coefficients of f'
-    top = max(abs(k[abs(d1) >= 1e-12 * max(1.0, np.max(abs(samples)))]), default=0)
-    k, d1 = k[abs(k) <= top], d1[abs(k) <= top]
-    z = np.roots(d1[::-1])
-    theta = np.angle(z[abs(abs(z) - 1.0) < _ROOT_RING])
+def _critical_angles(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Critical points, and the row of each in row order, of trigonometric polynomials f
+    of degree D, a row of samples at 2D + 2 equispaced angles from 0 each: roots
+    z = exp(i theta) of z^D f'(theta) from one FFT, all polished by Newton on f'.
+    Outer coefficients of f' below 1e-12 max(1, max|f|), rounding noise that would push
+    roots off the unit circle, are dropped; a row then constant, or left with no
+    angle, gives theta = 0 without np.roots or a Newton step."""
+    k = np.arange(1 - samples.shape[1] // 2, samples.shape[1] // 2)  # -D..D
+    d1 = 1j * k * np.fft.fft(samples)[:, k] / samples.shape[1]  # coefficients of f'
+    top = np.max(abs(k) * (abs(d1) >= 1e-12 * np.maximum(1.0, abs(samples).max(1))[:, None]), 1)
+    d1[abs(k) > top[:, None]] = 0
+    z = [np.roots(d1[r, abs(k) <= top[r]][::-1]) for r in np.flatnonzero(top)]
+    row, z = np.repeat(np.flatnonzero(top), [len(c) for c in z]), np.concatenate([[], *z])
+    ring = abs(abs(z) - 1.0) < _ROOT_RING
+    theta, row = np.angle(z[ring]), row[ring]
+    coef, dk = d1[row], 1j * k
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
-            wave = np.exp(1j * np.outer(theta, k))
-            theta = theta - (wave @ d1).real / (wave @ (1j * k * d1)).real
-    theta = theta[np.isfinite(theta)]
-    return theta if theta.size else np.zeros(1)
-
-
-def _overlaps(rows: np.ndarray, psi: PureState, target: PureState) -> np.ndarray:
-    """<target|u_r psi> / (||psi|| ||target||) for rows u_r, in chunks of _BATCH_BYTES."""
-    chunk = max(1, _BATCH_BYTES // (16 * psi.dim))
-    ov = np.empty(len(rows), dtype=complex)
-    for lo in range(0, len(rows), chunk):
-        chi = _apply_factors(rows[lo:lo + chunk], psi.amplitudes)
-        ov[lo:lo + chunk] = chi @ target.amplitudes.conj()
-    return ov / (psi.norm() * target.norm())
+            wave = np.exp(theta[:, None] * dk) * coef
+            theta = theta - wave.sum(1).real / (wave @ dk).real
+    ok = np.isfinite(theta)
+    lone = np.flatnonzero(np.bincount(row[ok], minlength=len(samples)) == 0)  # no angle left
+    row = np.concatenate([row[ok], lone])
+    order = np.argsort(row, kind="stable")
+    return np.concatenate([theta[ok], np.zeros(lone.size)])[order], row[order]
 
 
 def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
-            special: bool) -> tuple[np.ndarray, str]:
+            special: bool, gram: np.ndarray | None = None) -> tuple[np.ndarray, str]:
     """Start rows (rows, n, 2, 2) aligning psi with target, and their path.
 
     With T_12(psi) = A S B^T and T_12(target) = A' S B'^T, R_1 = A' P A^T
@@ -233,15 +236,16 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     so h = sum_k ||R_k^T R_k - I||^2 (zero at a symmetry) and, if h = 0,
     q = |<target|u psi>|^2 (one at a symmetry) have degree D = max(n, 4):
     the rows are their critical points.  Random row r: derive_rng(seed, r).
+    ``gram`` is psi's ``_pauli_gram`` if the caller has it.
     """
-    src = _correlations(psi.amplitudes)
+    src = _correlations(_pauli_gram(psi.amplitudes) if gram is None else gram)
     a, s, _ = np.linalg.svd(src)  # of every T_1k; T_12 is index 0
     equal = -np.diff(s[0]) <= _GAP_TOL * s[0, 0]
     if equal.all() or not np.all(s[:, -1] * _COND_TOL > s[:, 0]):
         return _haar_u2(np.stack([_ginibre(derive_rng(seed, r), (psi.n,))
                                   for r in range(restarts)]), special), "random"
     path = "pair_circle" if equal.any() else "pair_exact"
-    dst = src if target is psi else _correlations(target.amplitudes)
+    dst = src if target is psi else _correlations(_pauli_gram(target.amplitudes))
     a, s, a2 = a[0], s[0], a[0] if target is psi else np.linalg.svd(dst[0])[0]
     det = np.linalg.det(a) * np.linalg.det(a2)
     inv_src_t = np.linalg.inv(src).swapaxes(-1, -2)
@@ -265,51 +269,55 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     size = 2 * max(psi.n, 4) + 2
     r = circle(np.tile(2 * np.pi * np.arange(size) / size, 2), np.repeat([1.0, -1.0], size))
     h = np.sum(abs(r.swapaxes(-1, -2) @ r - np.eye(3)) ** 2, axis=(1, 2, 3))
-    q = abs(_overlaps(_su2_lift(r), psi, target)) ** 2
-    theta = [_critical_angles(f[lo:lo + size]) for lo in (0, size) for f in (h, q)]
-    eps = np.repeat([1.0, 1.0, -1.0, -1.0], [t.size for t in theta])
-    return _su2_lift(circle(np.concatenate(theta), eps)), path
+    q = abs(_apply_factors(_su2_lift(r), psi.amplitudes) @ target.amplitudes.conj()) ** 2
+    f = np.stack([h, q / (psi.norm() * target.norm()) ** 2]).reshape(2, 2, -1)  # f, eps, theta
+    theta, row = _critical_angles(f.swapaxes(0, 1).reshape(4, -1))  # rows 0, 1 at eps = 1
+    return _su2_lift(circle(theta, np.where(row < 2, 1.0, -1.0))), path
 
 
-def _align(psi: PureState, target: PureState, phases, restarts: int,
-           seed: int, special: bool) -> tuple[np.ndarray, np.ndarray, str]:
+def _align(psi: PureState, target: PureState, phases, restarts: int, seed: int,
+           special: bool, gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, str]:
     """Minimize ||u psi - t target|| over SU(2)^n, or over U(2)^n and the
-    phase t, by ``_polish_rows`` from ``_starts``.
+    phase t, by ``_polish_rows`` from ``_starts`` (``gram`` as there).
 
-    Every phase starts from the same rows.  On the exact and circle paths
-    they are every candidate, and a row that does not start as a hit up
-    to _CANDIDATE_OVERLAP at its phase keeps its start and residual inf;
-    a row at -t starts at t with its factor 0 negated.  Returns factors
-    (len(phases), rows, n, 2, 2), residuals (len(phases), rows) and the
-    path.  Rows are independent, so chunks of ``_BATCH_BYTES`` of Pauli
-    images change no row.  Callers check restarts >= 1.
+    Every phase reads the same start rows, applied once.  On the exact and
+    circle paths they are every candidate, and a row that does not start
+    as a hit up to _CANDIDATE_OVERLAP at its phase keeps its start and
+    residual inf; a row at -t starts at t with its factor 0 negated.  Rows
+    starting below 1e-14 are not polished.  Returns factors (len(phases),
+    rows, n, 2, 2), residuals (len(phases), rows) and the path.  Rows are
+    independent, so chunks of ``_BATCH_BYTES`` change no row.  Callers
+    check restarts >= 1.
     """
     phases = np.asarray(phases, dtype=complex)
-    start, path = _starts(psi, target, restarts, seed, special)
-    factors = np.tile(start, (phases.size, 1, 1, 1))
-    row_phases = np.repeat(phases, len(start))
-    live = np.arange(factors.shape[0])
-    if path != "random":
-        ov = np.tile(_overlaps(start, psi, target), phases.size)
+    start, path = _starts(psi, target, restarts, seed, special, gram)
+    factors = np.tile(start, (phases.size, 1, 1, 1, 1))
+    residuals = np.full((phases.size, len(start)), np.inf)
+    chunk = max(1, _BATCH_BYTES // (16 * 3 * psi.n * psi.dim * phases.size))
+    for lo in range(0, len(start), chunk):
+        chi = _apply_factors(start[lo:lo + chunk], psi.amplitudes)
+        ov = chi @ target.amplitudes.conj()
         # U(2)^n absorbs any phase, SU(2)^n a sign: -u_1 is in SU(2)
-        fit = (row_phases.conj() * ov).real if special else abs(ov)
-        live = live[abs(fit) > 1.0 - _CANDIDATE_OVERLAP]
-        factors[live[fit[live] < 0], 0] *= -1
-    residuals = np.full(factors.shape[0], np.inf)
-    chunk = max(1, _BATCH_BYTES // (16 * 3 * psi.n * psi.dim))
-    for lo in range(0, live.size, chunk):
-        rows = live[lo:lo + chunk]
-        factors[rows], residuals[rows] = _polish_rows(
-            psi.amplitudes, target.amplitudes, row_phases[rows] if special else None,
-            factors[rows])
-    return (factors.reshape(phases.size, len(start), psi.n, 2, 2),
-            residuals.reshape(phases.size, len(start)), path)
+        t = np.outer(phases, np.ones(len(ov))) if special else np.exp(1j * np.angle(ov))[None]
+        fit = (t.conj() * ov).real / (psi.norm() * target.norm())
+        live = (abs(fit) > 1.0 - _CANDIDATE_OVERLAP) | (path == "random")
+        sign = np.where(live & (fit < 0) & (path != "random"), -1.0, 1.0)
+        chi = sign[..., None] * chi
+        res = np.linalg.norm(chi - t[..., None] * target.amplitudes, axis=-1)
+        factors[:, lo:lo + chunk, 0] *= sign[..., None, None]
+        residuals[:, lo:lo + chunk] = np.where(live & (res < 1e-14), res, np.inf)
+        p, i = np.nonzero(live & (res >= 1e-14))
+        if p.size:
+            factors[p, lo + i], residuals[p, lo + i] = _polish_rows(
+                psi.amplitudes, target.amplitudes, t[p, i] if special else None,
+                factors[p, lo + i], chi[p, i])
+    return factors, residuals, path
 
 
-def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """max over factors of the sign-aligned Frobenius distance."""
-    return float(np.max(np.minimum(np.linalg.norm(a - b, axis=(-2, -1)),
-                                   np.linalg.norm(a + b, axis=(-2, -1)))))
+def _chain_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max over factors of the sign-aligned Frobenius distance; leading axes broadcast."""
+    return np.max(np.minimum(np.linalg.norm(a - b, axis=(-2, -1)),
+                             np.linalg.norm(a + b, axis=(-2, -1))), -1)
 
 
 def _require_budget(restarts: int, seed: int, tol: float | None = None) -> None:
@@ -322,31 +330,28 @@ def _require_budget(restarts: int, seed: int, tol: float | None = None) -> None:
         raise ValueError(f"search tolerance must be positive and finite, got {tol}")
 
 
-def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
+def _search(psi: PureState, phases, restarts: int, seed: int, tol: float, gram: np.ndarray
             ) -> tuple[list[tuple[complex, LocalOperatorChain, float]], str]:
-    """Verified hits (t, u, ||u psi - t psi||) below tol in phase order, and the path.
-
-    Hits near the identity are dropped for t = +-1, near-duplicates are
-    merged per phase, and every kept chain is re-verified.
+    """Verified hits (t, u, ||u psi - t psi||) below tol in phase order, and the
+    path; ``gram`` is psi's ``_pauli_gram``.  One apply re-verifies all rows
+    below tol, rows near the identity are dropped for t = +-1, and a row near
+    a hit kept before it at its phase is merged; only kept hits become chains.
     """
-    all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, special=True)
-    hits: list[tuple[complex, LocalOperatorChain, float]] = []
-    for t, factors, residuals in zip(phases, all_factors, all_residuals):
-        exclude_identity = abs(t * t - 1.0) <= 1e-12  # -I on one qubit gives u psi = -psi
-        found: list[LocalOperatorChain] = []
-        for fac, residual in zip(factors, residuals):
-            if residual >= tol:
-                continue
-            if exclude_identity and _chain_distance(fac, np.eye(2)) <= _IDENTITY_EXCLUSION_RADIUS:
-                continue
-            if any(_chain_distance(fac, kept.factors) < _DEDUP_RADIUS for kept in found):
-                continue
-            chain = LocalOperatorChain(fac, "K")
-            check = np.linalg.norm(apply_chain(chain, psi).amplitudes - t * psi.amplitudes)
-            if check <= tol:
-                found.append(chain)
-                hits.append((t, chain, float(check)))
-    return hits, path
+    all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, True, gram)
+    p, r = np.nonzero(all_residuals < tol)
+    if not p.size:
+        return [], path
+    fac, t = all_factors[p, r], np.asarray(phases, dtype=complex)[p]
+    check = np.linalg.norm(_apply_factors(fac, psi.amplitudes) - t[:, None] * psi.amplitudes,
+                           axis=1)
+    # -I on one qubit gives u psi = -psi
+    trivial = (abs(t * t - 1.0) <= 1e-12) & (
+        _chain_distance(fac, np.eye(2)) <= _IDENTITY_EXCLUSION_RADIUS)
+    left, kept = (check <= tol) & ~trivial, []
+    while left.any():  # the first row left is kept and merges its near-duplicates
+        kept.append(np.argmax(left))
+        left &= (p != p[kept[-1]]) | (_chain_distance(fac, fac[kept[-1]]) >= _DEDUP_RADIUS)
+    return [(phases[p[i]], LocalOperatorChain(fac[i], "K"), float(check[i])) for i in kept], path
 
 
 def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0,
@@ -380,10 +385,10 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     if not crit.is_critical:
         raise ValueError("precondition failed: criticality "
                          f"(max deviation {crit.max_deviation:.2e})")
-    lie_dim = _lie_probe(psi, is_critical=True).lie_dim
-    if lie_dim != 0:
-        raise ValueError(f"precondition failed: lie_dim (got {lie_dim}, need 0)")
-    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)[0]]
+    probe, gram = _lie_probe(psi, is_critical=True)
+    if probe.lie_dim != 0:
+        raise ValueError(f"precondition failed: lie_dim (got {probe.lie_dim}, need 0)")
+    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol, gram)[0]]
 
 
 def adjoint_closure_check(psi: PureState, chain: LocalOperatorChain) -> tuple[float, float]:
@@ -425,7 +430,7 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
                                  None, None, restarts, tol)
     rep = scaling.representative
     # converged at 1e-11, so critical at the 1e-8 of the search preconditions
-    probe = _lie_probe(rep, is_critical=True)
+    probe, gram = _lie_probe(rep, is_critical=True)
 
     def verdict(outcome: str, gate: str | None) -> TrivialityVerdict:
         return TrivialityVerdict(outcome, gate, probe, rep, restarts, tol)
@@ -434,7 +439,7 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
         return verdict("non_trivial", "lie_dim")
     # odd n: the searches at t = 1, i, -i run as one batch; gates keep their order
     phases = (1.0,) if rep.n % 2 == 0 else (1.0, 1j, -1j)
-    hits, probe.start_path = _search(rep, phases, restarts, seed, tol)
+    hits, probe.start_path = _search(rep, phases, restarts, seed, tol, gram)
     probe.discrete_candidates = [(chain, res) for t, chain, res in hits if t == 1.0]
     if probe.discrete_candidates:
         return verdict("non_trivial", "discrete_search")

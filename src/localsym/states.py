@@ -9,7 +9,7 @@ Conventions used throughout the package:
   of 2x2 matrices; the full 2**n x 2**n matrix is never materialized.
 * ``_apply_next``, one matmul that also rolls the next qubit into the rows,
   applies every 2x2 factor; one gather of Pauli images (``_pauli_images``)
-  gives the Lie probe's tangent SVD, the T_1k and the Newton Hessian.
+  gives, by their Gram matrix, the Lie spectrum, the T_1k and the Newton Hessian.
 """
 
 from __future__ import annotations
@@ -257,11 +257,16 @@ def _pauli_images(amp: np.ndarray) -> np.ndarray:
     return images.reshape(amp.shape[:-1] + (-1, j.size))
 
 
-def _correlations(amp: np.ndarray) -> np.ndarray:
-    """T_1k[a, b] = <sigma_a (x) sigma_b> on qubits 1 and k, k = 2..n, of the
-    normalized state: a real (n - 1, 3, 3) block of the Pauli images' Gram matrix."""
+def _pauli_gram(amp: np.ndarray) -> np.ndarray:
+    """C = Re P P^dag, the real (3n, 3n) Gram matrix of the Pauli images P of amp."""
     im = _pauli_images(amp).view(float)
-    return (im[:3] @ im[3:].T).reshape(3, -1, 3).swapaxes(0, 1) / np.vdot(amp, amp).real
+    return im @ im.T
+
+
+def _correlations(gram: np.ndarray) -> np.ndarray:
+    """T_1k[a, b] = <sigma_a (x) sigma_b> on qubits 1 and k, k = 2..n, of the normalized
+    state: (n - 1, 3, 3) blocks of its ``_pauli_gram``, over gram[0, 0] = ||amp||**2."""
+    return gram[:3, 3:].reshape(3, -1, 3).swapaxes(0, 1) / gram[0, 0]
 
 
 def reduced_density(psi: PureState, k: int) -> np.ndarray:

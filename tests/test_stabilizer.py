@@ -20,9 +20,12 @@ from localsym import (
 )
 
 from localsym import critical, stabilizer
-from localsym.states import _PAULIS, _correlations, _ginibre, _haar_u2, derive_rng
-from localsym.stabilizer import (_DEDUP_RADIUS, _chain_distance, _critical_angles, _overlaps,
-                                 _polish_rows, _starts, _su2_lift)
+from localsym import states
+from localsym.states import (_PAULIS, _apply_factors, _correlations, _ginibre, _haar_u2,
+                             _pauli_gram, _pauli_images, derive_rng)
+from localsym.stabilizer import (_DEDUP_RADIUS, _IDENTITY_EXCLUSION_RADIUS, _align,
+                                 _chain_distance, _critical_angles, _polish_rows,
+                                 _starts, _su2_lift)
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -267,7 +270,7 @@ def test_probe_invariant_under_local_unitaries_and_permutations(n, seed):
 @given(st.integers(0, 2**31 - 1))
 def test_search_rows_do_not_depend_on_batch_size(seed):
     # gabcd takes the exact path, L4 (T_12 proportional to the identity) the
-    # random one, L5 the circle path, whose 24 samples are then cut into chunks
+    # random one, L5 the circle path, whose start rows are then cut into chunks
     for psi, t in ((make_gabcd(1, 2 + 1j, 3, 0.5), 1.0), (make_ln(4), 1.0), (make_ln(5), 1j)):
         few = phase_stabilizer_search(psi, t, restarts=8, seed=seed)
         many = phase_stabilizer_search(psi, t, restarts=32, seed=seed)
@@ -287,17 +290,24 @@ def l5_hit_row():
     psi = make_ln(5)
     start, path = _starts(psi, psi, 32, 0, True)
     assert path == "pair_circle"
-    return psi, start[np.argmax((-1j * _overlaps(start, psi, psi)).real)]
+    return psi, start[np.argmax((-1j * _apply_factors(start, psi.amplitudes)
+                                 @ psi.amplitudes.conj()).real)]
 
 
-def test_rows_starting_on_a_hit_keep_their_start():
+def test_rows_starting_on_a_hit_keep_their_start(monkeypatch):
+    """_align keeps a row that starts below 1e-14 as it is: only the Haar row
+    enters _polish_rows."""
     psi, row = l5_hit_row()
     start = np.stack([row, _haar_u2(_ginibre(derive_rng(0), (5,)), True)])
-    factors, residual = _polish_rows(psi.amplitudes, psi.amplitudes, np.array([1j, 1j]),
-                                     start.copy())
-    assert factors[0].tobytes() == start[0].tobytes()
-    assert residual[0] < 1e-14
-    assert not np.array_equal(factors[1], start[1])  # the Haar row is polished
+    polished, polish = [], stabilizer._polish_rows
+    monkeypatch.setattr(stabilizer, "_starts", lambda *a: (start.copy(), "random"))
+    monkeypatch.setattr(stabilizer, "_polish_rows",
+                        lambda *a: polished.append(len(a[3])) or polish(*a))
+    factors, residual, _ = _align(psi, psi, (1j,), 2, 0, special=True)
+    assert factors[0, 0].tobytes() == start[0].tobytes()
+    assert residual[0, 0] < 1e-14
+    assert not np.array_equal(factors[0, 1], start[1])  # the Haar row is polished
+    assert polished == [1]
 
 
 @pytest.mark.parametrize("offset", [1e-12, 1e-6, 1e-2])
@@ -307,7 +317,7 @@ def test_circle_row_started_off_its_hit_is_swept_onto_it(offset):
     out = apply_chain(LocalOperatorChain(row, "K"), psi).amplitudes
     assert 0.1 * offset < np.linalg.norm(out - 1j * psi.amplitudes) < 10 * offset
     factors, residual = _polish_rows(psi.amplitudes, psi.amplitudes, np.array([1j]),
-                                     row[None].copy())
+                                     row[None].copy(), out[None])
     assert residual[0] < 1e-14
     assert not np.array_equal(factors[0], row)
 
@@ -333,7 +343,7 @@ def test_l4_random_path_witnesses():
 def test_correlations_match_dense_oracle(n):
     psi = sample_haar_state(n, 40 + n)
     amp = 2.0 * psi.amplitudes  # the tensors are those of the normalized state
-    tensors = _correlations(amp)
+    tensors = _correlations(_pauli_gram(amp))
     assert tensors.shape == (n - 1, 3, 3)
     for k in range(2, n + 1):
         for a, sa in enumerate(_PAULIS):
@@ -429,23 +439,22 @@ def test_ln_hits_are_exactly_the_analytic_symmetries(n, t, seed):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_circle_rows_start_on_their_hits(n, monkeypatch):
-    """Every polished circle row starts within 1e-12 of a hit at its own
-    phase: the candidate angles are exact, and a row at -t arrives with its
-    factor 0 negated, where the Gauss-Newton step would be stationary."""
-    psi, starts, polish = make_ln(n), [], stabilizer._polish_rows
-
-    def recording(amplitudes, target, phases, factors):
-        starts.append((phases, factors.copy()))
-        return polish(amplitudes, target, phases, factors)
-
-    monkeypatch.setattr(stabilizer, "_polish_rows", recording)
+    """Every kept circle row starts within 1e-12 of a hit at its own phase,
+    so no search polishes a row: the candidate angles are exact, and a row
+    at -t arrives with its factor 0 negated, where the Gauss-Newton step
+    would be stationary."""
+    psi, polished, polish = make_ln(n), [], stabilizer._polish_rows
+    monkeypatch.setattr(stabilizer, "_polish_rows", lambda *a: polished.append(a) or polish(*a))
     for t in (1.0, 1j, -1j):
         phase_stabilizer_search(psi, t)
-    assert starts
-    for phases, factors in starts:
-        for t, fac in zip(phases, factors):
-            out = apply_chain(LocalOperatorChain(fac, "K"), psi).amplitudes
-            assert np.linalg.norm(out - t * psi.amplitudes) <= 1e-12
+    gtilde_triviality_probe(psi)
+    factors, residuals, path = _align(psi, psi, (1.0, 1j, -1j), 32, 0, special=True)
+    assert path == "pair_circle" and not polished
+    kept = np.isfinite(residuals)
+    assert kept.any()
+    for t, fac in zip(np.broadcast_to([[1.0], [1j], [-1j]], kept.shape)[kept], factors[kept]):
+        out = apply_chain(LocalOperatorChain(fac, "K"), psi).amplitudes
+        assert np.linalg.norm(out - t * psi.amplitudes) <= 1e-12
 
 
 def test_phase_search_at_minus_one_drops_the_trivial_chain():
@@ -466,7 +475,7 @@ def test_circle_path_finds_the_exact_paths_symmetries(index, monkeypatch):
     - I||^2 non-zero, so its zeros must yield the three Pauli-type hits."""
     verdict = gtilde_triviality_probe(sample_haar_state(4, derive_rng(1, index, 0)))
     rep = verdict.representative
-    sv = np.linalg.svd(_correlations(rep.amplitudes)[0], compute_uv=False)
+    sv = np.linalg.svd(_correlations(_pauli_gram(rep.amplitudes))[0], compute_uv=False)
     gaps = -np.diff(sv) / sv[0]
     monkeypatch.setattr(stabilizer, "_GAP_TOL", np.sqrt(gaps[0] * gaps[1]))
     assert _starts(rep, rep, 32, 0, True)[1] == "pair_circle"
@@ -489,7 +498,7 @@ def test_critical_angles_match_dense_evaluation(degree, size, seed):
     rng = np.random.default_rng(seed)
     half = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
     coef = np.concatenate([half[::-1].conj(), [rng.standard_normal()], half])
-    theta = _critical_angles(trig_poly(coef, 2 * np.pi * np.arange(size) / size))
+    theta = _critical_angles(trig_poly(coef, 2 * np.pi * np.arange(size) / size)[None])[0]
     scale = np.abs(coef).sum() * degree
     assert np.all(abs(trig_poly(coef, theta, 1)) < 1e-12 * scale)
     grid = np.linspace(-np.pi, np.pi, 20001)
@@ -507,16 +516,34 @@ def test_critical_angles_of_degree_deficient_polynomials(size_degree):
     size = 2 * size_degree + 2
     for _ in range(100):
         d, theta0 = rng.integers(1, size_degree), rng.uniform(0, 2 * np.pi)
-        theta = _critical_angles(np.cos(d * (2 * np.pi * np.arange(size) / size - theta0)))
+        samples = np.cos(d * (2 * np.pi * np.arange(size) / size - theta0))
+        theta = _critical_angles(samples[None])[0]
         expected = theta0 + np.pi * np.arange(2 * d) / d
         gaps = abs(np.angle(np.exp(1j * (theta[:, None] - expected))))
         assert np.max(np.min(gaps, axis=0)) < 1e-9
 
 
 def test_critical_angles_of_a_constant():
-    assert _critical_angles(np.zeros(10)).tolist() == [0.0]
-    theta = _critical_angles(np.full(10, 0.7))
+    assert _critical_angles(np.zeros((1, 10)))[0].tolist() == [0.0]
+    theta = _critical_angles(np.full((1, 10), 0.7))[0]
     assert theta.size and np.all(np.isfinite(theta))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_critical_angles_of_a_stack_match_per_row_calls(seed):
+    """A stack holding constant rows gives each row the angles of its own
+    one-row call, in row order, and theta = 0 for the constant rows."""
+    rng = np.random.default_rng(seed)
+    grid = 2 * np.pi * np.arange(12) / 12
+    polys = [trig_poly(np.concatenate([c[::-1].conj(), [rng.standard_normal()], c]), grid)
+             for c in rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))]
+    stack = np.stack([np.full(12, 0.7), polys[0], np.zeros(12), polys[1]])
+    theta, row = _critical_angles(stack)
+    assert np.all(np.diff(row) >= 0) and set(row.tolist()) == {0, 1, 2, 3}
+    assert theta[row == 0].tolist() == [0.0] and theta[row == 2].tolist() == [0.0]
+    for r in range(4):
+        np.testing.assert_allclose(theta[row == r], _critical_angles(stack[r:r + 1])[0],
+                                   rtol=0, atol=1e-14)
 
 
 def test_probe_computes_correlations_once(monkeypatch):
@@ -561,3 +588,112 @@ def test_hits_are_conjugated_by_local_unitaries(seed):
         hits = [c.factors for c, _ in search(psi)]
         moved = [c.factors for c, _ in search(apply_chain(LocalOperatorChain(k, "K"), psi))]
         assert_same_chains(moved, [k @ h @ k.conj().swapaxes(-1, -2) for h in hits])
+
+
+# ---------------------------------------------------------------------------
+# one Gram matrix, one apply of the start rows, one pass over the hits
+# ---------------------------------------------------------------------------
+
+def per_row_hits(psi, phases, all_factors, all_residuals, tol):
+    """The hit check row by row, in the order _search keeps: the reference
+    for its one pass."""
+    hits = []
+    for t, factors, residuals in zip(phases, all_factors, all_residuals):
+        exclude_identity = abs(t * t - 1.0) <= 1e-12
+        found = []
+        for fac, residual in zip(factors, residuals):
+            if residual >= tol:
+                continue
+            if exclude_identity and _chain_distance(fac, np.eye(2)) <= _IDENTITY_EXCLUSION_RADIUS:
+                continue
+            if any(_chain_distance(fac, kept.factors) < _DEDUP_RADIUS for kept in found):
+                continue
+            chain = LocalOperatorChain(fac, "K")
+            check = np.linalg.norm(apply_chain(chain, psi).amplitudes - t * psi.amplitudes)
+            if check <= tol:
+                found.append(chain)
+                hits.append((t, chain, float(check)))
+    return hits
+
+
+HIT_STATES = {"gabcd": make_gabcd(1, 2 + 1j, 3, 0.5), **{f"L{n}": make_ln(n) for n in range(4, 9)}}
+
+
+@pytest.mark.parametrize("name", list(HIT_STATES))
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_one_pass_hit_check_matches_per_row_loop(name, seed):
+    psi = HIT_STATES[name]
+    gram, found = _pauli_gram(psi.amplitudes), 0
+    for phases in ((1.0,), (-1.0,), (1j,), (-1j,), (1.0, -1.0, 1j, -1j)):
+        factors, residuals, _ = _align(psi, psi, phases, 32, seed, special=True)
+        expected = per_row_hits(psi, phases, factors, residuals, 1e-8)
+        hits, _ = stabilizer._search(psi, phases, 32, seed, 1e-8, gram)
+        assert [t for t, _, _ in hits] == [t for t, _, _ in expected]
+        for (_, chain, check), (_, ref, ref_check) in zip(hits, expected):
+            assert chain.factors.tobytes() == ref.factors.tobytes()
+            assert abs(check - ref_check) <= 1e-14
+        found += len(hits)
+    assert found or name in ("L6", "L8")  # even L_n have no hit at these phases
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_gram_spectrum_matches_the_svd(n, monkeypatch):
+    """On critical Haar representatives the singular values come from the
+    Gram eigenvalues (the SVD only at n = 3, where 2**n < 3n) and match the
+    SVD of the Pauli images within 1e-13 relative."""
+    svd_inputs, images = [], stabilizer._pauli_images
+    monkeypatch.setattr(stabilizer, "_pauli_images", lambda a: svd_inputs.append(a) or images(a))
+    for seed in range(3):
+        rep = gtilde_triviality_probe(sample_haar_state(n, 600 + seed)).representative
+        expected = np.linalg.svd(_pauli_images(rep.amplitudes), compute_uv=False)
+        expected = np.concatenate([expected, np.zeros(3 * n - expected.size)])
+        svd_inputs.clear()
+        np.testing.assert_allclose(lie_stabilizer_dim(rep).singular_values, expected,
+                                   rtol=1e-13, atol=0)
+        assert len(svd_inputs) == (n == 3)
+
+
+@pytest.mark.parametrize("psi,expected", [
+    (make_ghz(3), 2),  # 2**n < 3n
+    (make_ghz(4), 3),  # critical, lambda_min below 1e-8 lambda_max
+    (make_w(3), 2),  # not critical
+    (make_w(4), 3),
+    (PureState(4, np.eye(16)[0].astype(complex)), 7),
+    (sample_haar_state(5, 3), 0),
+])
+def test_lie_probe_falls_back_to_the_svd(psi, expected, monkeypatch):
+    svd_inputs, images = [], stabilizer._pauli_images
+    monkeypatch.setattr(stabilizer, "_pauli_images", lambda a: svd_inputs.append(a) or images(a))
+    assert lie_stabilizer_dim(psi).lie_dim == expected
+    assert len(svd_inputs) == 1
+
+
+def test_search_call_counts(monkeypatch):
+    """Counts, not timings: a probe gathers its representative's Pauli images
+    once, as the Lie gate and the starts share their Gram matrix, and _align
+    applies its start rows once (test_circle_rows_start_on_their_hits pins
+    that no L_n row is polished)."""
+    gathered = []
+    for module in (states, stabilizer, critical):
+        monkeypatch.setattr(module, "_pauli_images",
+                            lambda a, f=module._pauli_images: gathered.append(a.copy()) or f(a))
+    for psi in (make_ln(5), make_gabcd(1, 2 + 1j, 3, 0.5), sample_haar_state(5, 1),
+                sample_haar_state(6, 1)):
+        gathered.clear()
+        rep = gtilde_triviality_probe(psi).representative
+        assert sum(a.shape == rep.amplitudes.shape and np.array_equal(a, rep.amplitudes)
+                   for a in gathered) == 1
+    starts, applied = [], []
+    start_fn, apply_fn = stabilizer._starts, stabilizer._apply_factors
+    monkeypatch.setattr(stabilizer, "_starts",
+                        lambda *a: starts.append(start_fn(*a)) or starts[-1])
+    monkeypatch.setattr(stabilizer, "_apply_factors",
+                        lambda f, amp: applied.append(f.copy()) or apply_fn(f, amp))
+    for psi, phases in ((make_gabcd(1, 2 + 1j, 3, 0.5), (1.0,)), (make_ln(4), (1.0,)),
+                        (make_ln(5), (1.0, 1j, -1j))):
+        starts.clear()
+        applied.clear()
+        _align(psi, psi, phases, 32, 0, special=True)
+        start = starts[0][0]  # a factor 0 may come back negated
+        assert sum(f.shape == start.shape and np.array_equal(abs(f), abs(start))
+                   for f in applied) == 1
