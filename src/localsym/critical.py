@@ -40,6 +40,7 @@ from .states import (
     _apply_next,
     _moments,
     _pauli_images,
+    _pauli_tables,
     _require_normalized,
 )
 
@@ -115,10 +116,11 @@ def _flattening_factor(a: float, b: float, c: complex) -> np.ndarray | None:
                      [-c.conjugate() * scale, (a + root) * scale]])
 
 
-def _newton_factors(t: np.ndarray, sq_norm: float) -> np.ndarray | None:
+def _newton_factors(t: np.ndarray, sq_norm: float, tables: tuple | None = None
+                    ) -> np.ndarray | None:
     """The factors of E(x) = (x)_k exp(x_k . sigma / 2) for a Newton step x on
     log ||E(x) phi||**2 at phi = t, of squared norm sq_norm; None if the
-    solve fails or is not finite.
+    solve fails or is not finite; ``tables`` as in ``states._pauli_images``.
 
     The gradient is the Bloch vectors r_ka = <sigma_a on qubit k> and the
     Hessian H = C - r r^T, for C the real Gram matrix of the 3n Pauli images
@@ -128,21 +130,22 @@ def _newton_factors(t: np.ndarray, sq_norm: float) -> np.ndarray | None:
     cosh(|x_k|/2) I + sinh(|x_k|/2) x_k . sigma / |x_k| is Hermitian,
     positive and of determinant one.
     """
-    images = _pauli_images(t.reshape(-1)).view(float)
+    images = _pauli_images(t.reshape(-1), tables).view(float)
     r = images @ t.reshape(-1).view(float) / sq_norm
     try:
-        x = np.linalg.solve(images @ images.T / sq_norm - np.outer(r, r), -r).reshape(-1, 3)
+        x = np.linalg.solve(images @ images.T / sq_norm - r[:, None] * r, -r).reshape(-1, 3)
     except np.linalg.LinAlgError:
         return None
     length = np.hypot(np.hypot(x[:, 0], x[:, 1]), x[:, 2])  # no squares to overflow
     top = length.max()
     if not top < math.inf:  # also true for nan
         return None
-    cap = max(1.0, top)
-    x, length = x / cap, length / cap
+    if top > 1.0:
+        x, length = x / top, length / top
+    half = 0.5 * length
     coefs = np.empty((len(x), 4))
-    coefs[:, 0] = np.cosh(0.5 * length)
-    coefs[:, 1:] = x * (np.sinh(0.5 * length) / np.where(length > 0, length, 1.0))[:, None]
+    coefs[:, 0] = np.cosh(half)
+    coefs[:, 1:] = x * (np.sinh(half) / np.where(length > 0, length, 1.0))[:, None]
     return (coefs @ _UNIT_AND_PAULIS).reshape(-1, 2, 2)
 
 
@@ -152,30 +155,30 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
 
     Each iteration is one Newton step or one sweep; ``iterations`` and
     ``max_iter`` count both.  For 4 <= n <= 8 the Newton step of
-    ``_newton_factors`` is kept when the norm rises by at most 1e-14
-    relative (rounding); a failed, non-finite or rejected step gives a
-    sweep instead, and outside that range every iteration is a sweep,
-    flattening one reduced density per step with qubits taken cyclically.
-    Both land on the same unitary orbit with the same minimal norm, but
-    not on the same point of it.  Convergence is declared when all
-    reductions of the running state, taken at unit trace, are within
-    ``tol`` of I/2 in Frobenius norm, checked from qubit 0 (whose moments
-    the sweep's first step and the Newton step reuse) to the first that
-    is not.  A run whose norm falls below 1e-6 of the initial norm, or
-    whose sweep hits a numerically singular reduced density, is declared
+    ``_newton_factors`` is kept when the norm rises by at most 1e-14 relative
+    (rounding); a failed, non-finite or rejected step gives a sweep instead,
+    and outside that range every iteration is a sweep, flattening one reduced
+    density per step with qubits taken cyclically.  Both land on the same
+    unitary orbit with the same minimal norm, but not on the same point of
+    it.  Convergence is declared when all reductions of the running state,
+    taken at unit trace, are within ``tol`` of I/2 in Frobenius norm, checked
+    from qubit 0 (whose moments the sweep's first step and the Newton step
+    reuse) to the first that is not.  The trajectory holds the unit-norm
+    check's norm, then one norm per iteration, the Newton acceptance test's
+    or the sweep's.  A run whose norm falls below 1e-6 of the initial norm,
+    or whose sweep hits a numerically singular reduced density, is declared
     ``null_cone``.  Each factor is applied by ``states._apply_next``, one
     matmul that also rolls the next qubit into the rows; an iteration's
-    factors enter the chain in one batched matmul, at a null-cone exit
-    within a sweep only those already applied.
+    factors enter the chain in one batched matmul, at a null-cone exit within
+    a sweep only those already applied.
     """
     if not 0 < tol < math.inf:  # also true for nan
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
-    _require_normalized(psi)
+    initial_norm = _require_normalized(psi)
     n = psi.n
-    initial_norm = psi.norm()
-    t = psi.amplitudes.reshape(2, -1)
+    t, tables = psi.amplitudes.reshape(2, -1), None
     acc = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
     steps = np.empty_like(acc)
     trajectory = [initial_norm]
@@ -196,11 +199,13 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
             return finish("converged", it)
         if it == max_iter:
             return finish("max_iter", it)
-        newton = (_newton_factors(t, first[0] + first[1])
-                  if _NEWTON_MIN_QUBITS <= n <= _NEWTON_MAX_QUBITS else None)
+        newton = None
+        if _NEWTON_MIN_QUBITS <= n <= _NEWTON_MAX_QUBITS:
+            tables = tables or _pauli_tables(t.size)  # at the first Newton step
+            newton = _newton_factors(t, first[0] + first[1], tables)
         if newton is not None:
             u = _apply_factors(newton, t.reshape(-1)).reshape(2, -1)
-            if np.linalg.norm(u) <= trajectory[-1] * (1 + _NEWTON_NORM_SLACK):
+            if (nrm := np.linalg.norm(u)) <= trajectory[-1] * (1 + _NEWTON_NORM_SLACK):
                 t, steps[:] = u, newton
             else:
                 newton = None
@@ -213,8 +218,9 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
                     return finish("null_cone", it)
                 steps[k] = g
                 t = _apply_next(g, t)
+            nrm = np.linalg.norm(t)
         acc = steps @ acc
-        trajectory.append(float(np.linalg.norm(t)))
+        trajectory.append(float(nrm))
         if trajectory[-1] < _NULL_CONE_NORM_FRACTION * initial_norm:
             return finish("null_cone", it + 1)
 

@@ -37,6 +37,7 @@ from .states import (
     _haar_u2,
     _pauli_gram,
     _pauli_images,
+    _pauli_tables,
     _require_seed,
 )
 from .critical import criticality_report, scale_to_critical
@@ -151,10 +152,10 @@ def _polish_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray | None,
     free = phases is None
     t = np.exp(1j * np.angle(chi @ target.conj())) if free else phases
     live, fac, n = np.arange(len(factors)), factors, factors.shape[1]
-    residual = np.empty(len(factors))
+    residual, tables = np.empty(len(factors)), _pauli_tables(psi.size)
     best, stalls = np.full(live.size, np.inf), np.zeros(live.size, dtype=int)
     for step in range(1000):
-        images = _pauli_images(chi).view(float)
+        images = _pauli_images(chi, tables).view(float)
         ir = (1j * (chi - t[:, None] * target)).view(float)
         grad = images @ ir[..., None]
         x = -2.0 * np.linalg.pinv(images @ images.swapaxes(-1, -2), hermitian=True) @ grad
@@ -192,8 +193,8 @@ def _su2_lift(r: np.ndarray) -> np.ndarray:
     qq[..., 0, 0] = 1 + tr
     qq[..., 0, 1:] = qq[..., 1:, 0] = (r - r.swapaxes(-1, -2))[..., [2, 0, 1], [1, 2, 0]]
     qq[..., 1:, 1:] = r + r.swapaxes(-1, -2) + (1 - tr)[..., None, None] * np.eye(3)
-    col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1)[..., None, None]
-    q = np.take_along_axis(qq, col, -1)[..., 0]
+    col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1).reshape(-1)
+    q = qq.reshape(-1, 4)[4 * np.arange(col.size) + col].reshape(qq.shape[:-1])  # qq = qq^T
     return _su2(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
@@ -230,8 +231,9 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
 
     With T_12(psi) = A S B^T and T_12(target) = A' S B'^T, R_1 = A' P A^T
     for an orthogonal P commuting with S, and R_k = T_1k(target)^T R_1
-    T_1k(psi)^-T.  Exact path: P is one of the 4 sign diagonals of
-    determinant det(A A').  Circle path: P = diag(eps, O(theta)) on the
+    T_1k(psi)^-T.  Exact path: P is one of the 4 sign diagonals of determinant
+    det(A A'); for target psi, det = 1 and P = I gives every R_k = I, the
+    identity row, so the other 3.  Circle path: P = diag(eps, O(theta)) on the
     repeated plane, eps = +-1, and R_k is affine in (cos theta, sin theta),
     so h = sum_k ||R_k^T R_k - I||^2 (zero at a symmetry) and, if h = 0,
     q = |<target|u psi>|^2 (one at a symmetry) have degree D = max(n, 4):
@@ -256,7 +258,7 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
         return np.concatenate([r1[:, None], rk], 1)
 
     if path == "pair_exact":
-        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])[target is psi:]
         return _su2_lift(rotations(det * signs[..., None] * np.eye(3))), path
     i, j, m = (0, 1, 2) if s[0] - s[1] < s[1] - s[2] else (1, 2, 0)  # i, j: the plane
 
@@ -270,7 +272,9 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     r = circle(np.tile(2 * np.pi * np.arange(size) / size, 2), np.repeat([1.0, -1.0], size))
     h = np.sum(abs(r.swapaxes(-1, -2) @ r - np.eye(3)) ** 2, axis=(1, 2, 3))
     q = abs(_apply_factors(_su2_lift(r), psi.amplitudes) @ target.amplitudes.conj()) ** 2
-    f = np.stack([h, q / (psi.norm() * target.norm()) ** 2]).reshape(2, 2, -1)  # f, eps, theta
+    nrm = psi.norm()  # one norm() if target is psi
+    q = q / (nrm * (nrm if target is psi else target.norm())) ** 2
+    f = np.stack([h, q]).reshape(2, 2, -1)  # f, eps, theta
     theta, row = _critical_angles(f.swapaxes(0, 1).reshape(4, -1))  # rows 0, 1 at eps = 1
     return _su2_lift(circle(theta, np.where(row < 2, 1.0, -1.0))), path
 
@@ -294,12 +298,13 @@ def _align(psi: PureState, target: PureState, phases, restarts: int, seed: int,
     factors = np.tile(start, (phases.size, 1, 1, 1, 1))
     residuals = np.full((phases.size, len(start)), np.inf)
     chunk = max(1, _BATCH_BYTES // (16 * 3 * psi.n * psi.dim * phases.size))
+    norms = (nrm := psi.norm()) * (nrm if target is psi else target.norm())  # once per call
     for lo in range(0, len(start), chunk):
         chi = _apply_factors(start[lo:lo + chunk], psi.amplitudes)
         ov = chi @ target.amplitudes.conj()
         # U(2)^n absorbs any phase, SU(2)^n a sign: -u_1 is in SU(2)
         t = np.outer(phases, np.ones(len(ov))) if special else np.exp(1j * np.angle(ov))[None]
-        fit = (t.conj() * ov).real / (psi.norm() * target.norm())
+        fit = (t.conj() * ov).real / norms
         live = (abs(fit) > 1.0 - _CANDIDATE_OVERLAP) | (path == "random")
         sign = np.where(live & (fit < 0) & (path != "random"), -1.0, 1.0)
         chi = sign[..., None] * chi

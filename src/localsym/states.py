@@ -227,11 +227,12 @@ def apply_chain(chain: LocalOperatorChain, psi: PureState) -> PureState:
     return PureState(psi.n, chain.scalar * _apply_factors(chain.factors, psi.amplitudes))
 
 
-def _require_normalized(psi: PureState) -> None:
-    """The unit-norm precondition shared by every entry point that needs it."""
+def _require_normalized(psi: PureState) -> float:
+    """The unit-norm precondition shared by every entry point that needs it; the norm."""
     nrm = psi.norm()
     if abs(nrm - 1.0) > _NORM_TOL:
         raise ValueError(f"state must be normalized, got norm {nrm!r}")
+    return nrm
 
 
 def _moments(t: np.ndarray) -> tuple[float, float, complex]:
@@ -245,16 +246,24 @@ _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _UNIT_AND_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]).reshape(4, 4)
 
 
-def _pauli_images(amp: np.ndarray) -> np.ndarray:
+def _pauli_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, dim) gather index, sigma_z signs and -i sigma_z phases of ``_pauli_images``."""
+    j = np.arange(dim)
+    bits = (dim >> np.arange(1, dim.bit_length()))[:, None]  # row k: qubit k's bit
+    z = np.where(j & bits, -1.0, 1.0)
+    return j ^ bits, z, -1j * z
+
+
+def _pauli_images(amp: np.ndarray, tables: tuple | None = None) -> np.ndarray:
     """(..., 3n, 2**n) array whose row 3k + a is sigma_a on qubit k (0-based) of flat
     amplitudes (..., 2**n): the tangent map of sl(2, C)**n in a basis orthonormal on
     each qubit.  Its real Gram matrix / ||amp||**2 is I_3 on diagonal blocks, T_jk off them.
-    One gather: sigma_x flips qubit k's bit of the index, sigma_z is its sign, sigma_y = -i z x."""
-    j = np.arange(amp.shape[-1])
-    bits = (j.size >> np.arange(1, j.size.bit_length()))[:, None]  # row k: qubit k's bit
-    x, z = amp[..., j ^ bits], np.where(j & bits, -1.0, 1.0)
-    images = np.stack([x, -1j * z * x, z * amp[..., None, :]], -2)  # (..., n, 3, 2**n)
-    return images.reshape(amp.shape[:-1] + (-1, j.size))
+    One gather: sigma_x flips qubit k's bit of the index, sigma_z is its sign, sigma_y = -i z x;
+    ``tables`` are ``_pauli_tables(2**n)``, built here if None."""
+    index, z, yz = _pauli_tables(amp.shape[-1]) if tables is None else tables
+    x = amp[..., index]
+    images = np.stack([x, yz * x, z * amp[..., None, :]], -2)  # (..., n, 3, 2**n)
+    return images.reshape(amp.shape[:-1] + (-1, amp.shape[-1]))
 
 
 def _pauli_gram(amp: np.ndarray) -> np.ndarray:

@@ -236,7 +236,7 @@ def test_connector_row_at_the_rounding_floor_stops(monkeypatch):
     without the stationary-row stop it took 8 idle steps after the floor."""
     steps = []
     images = stabilizer._pauli_images
-    monkeypatch.setattr(stabilizer, "_pauli_images", lambda amp: steps.append(1) or images(amp))
+    monkeypatch.setattr(stabilizer, "_pauli_images", lambda *a: steps.append(1) or images(*a))
     psi = sample_haar_state(8, 316)
     phi = apply_chain(sample_chain(8, "G", 416), psi).normalized()
     assert find_connector(psi, phi) is not None

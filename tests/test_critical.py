@@ -15,6 +15,7 @@ from localsym import (
     make_w,
     sample_haar_state,
 )
+from localsym import critical
 from localsym.critical import _flattening_factor, _newton_factors
 from localsym.states import _moments
 
@@ -409,3 +410,18 @@ def test_min_norm_probe_on_critical_states():
 def test_min_norm_probe_rejects_noncritical():
     with pytest.raises(ValueError):
         min_norm_probe(make_w(3))
+
+
+def test_scaling_builds_pauli_tables_once(monkeypatch):
+    """Counts, not timings: a Newton-range scaling builds the Pauli tables at
+    its first Newton step and reuses them; a critical input builds none."""
+    calls, tables = [], critical._pauli_tables
+    monkeypatch.setattr(critical, "_pauli_tables", lambda dim: calls.append(dim) or tables(dim))
+    for n in (4, 5, 6, 8):
+        calls.clear()
+        result = scale_to_critical(sample_haar_state(n, 7), tol=1e-11)
+        assert result.status == "converged" and result.iterations >= 3
+        assert calls == [2**n]
+    calls.clear()
+    assert scale_to_critical(make_ln(5)).iterations == 0
+    assert calls == []

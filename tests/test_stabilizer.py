@@ -23,9 +23,10 @@ from localsym import critical, stabilizer
 from localsym import states
 from localsym.states import (_PAULIS, _apply_factors, _correlations, _ginibre, _haar_u2,
                              _pauli_gram, _pauli_images, derive_rng)
+from localsym.genericity import genericity_report
 from localsym.stabilizer import (_DEDUP_RADIUS, _IDENTITY_EXCLUSION_RADIUS, _align,
                                  _chain_distance, _critical_angles, _polish_rows,
-                                 _starts, _su2_lift)
+                                 _starts, _su2, _su2_lift)
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -354,18 +355,46 @@ def test_correlations_match_dense_oracle(n):
                 assert abs(tensors[k - 2, a, b] - dense) < 1e-12
 
 
+def lift_rotations():
+    """200 random rotations, then the half-turns (trace -1, the branch where the
+    quaternion's scalar part vanishes) and I."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((200, 3, 3)))
+    rot = q * np.sign(np.linalg.det(q))[:, None, None]
+    return np.concatenate([rot, [np.diag([1.0, -1, -1]), np.diag([-1.0, 1, -1]),
+                                 np.diag([-1.0, -1, 1]), np.eye(3)]])
+
+
 def test_su2_lift_conjugates_paulis_by_the_rotation():
     """u sigma_b u^dag = sum_a R[a, b] sigma_a; the inverse convention would
     still pass every self-symmetry test, as the candidate set is a group."""
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((200, 3, 3)))
-    rot = q * np.sign(np.linalg.det(q))[:, None, None]
-    # half-turns: trace -1, the branch where the quaternion's scalar part vanishes
-    rot = np.concatenate([rot, [np.diag([1.0, -1, -1]), np.diag([-1.0, 1, -1]),
-                                np.diag([-1.0, -1, 1]), np.eye(3)]])
+    rot = lift_rotations()
     u = _su2_lift(rot)
     assert np.max(abs(np.linalg.det(u) - 1)) < 1e-12
     moved = np.einsum("rij,bjk,rlk->rbil", u, _PAULIS, u.conj())
     assert np.max(abs(moved - np.einsum("rab,aij->rbij", rot, _PAULIS))) < 1e-12
+
+
+def take_along_axis_lift(r):
+    """``_su2_lift`` picking the column of 4 q q^T with np.take_along_axis: the
+    reference for its one flat index (a row, equal as 4 q q^T is symmetric)."""
+    tr = np.trace(r, axis1=-2, axis2=-1)
+    qq = np.empty(r.shape[:-2] + (4, 4))
+    qq[..., 0, 0] = 1 + tr
+    qq[..., 0, 1:] = qq[..., 1:, 0] = (r - r.swapaxes(-1, -2))[..., [2, 0, 1], [1, 2, 0]]
+    qq[..., 1:, 1:] = r + r.swapaxes(-1, -2) + (1 - tr)[..., None, None] * np.eye(3)
+    col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1)[..., None, None]
+    q = np.take_along_axis(qq, col, -1)[..., 0]
+    return _su2(q / np.linalg.norm(q, axis=-1, keepdims=True))
+
+
+def test_su2_lift_matches_take_along_axis_reference():
+    """Bitwise, on rotations, on the half-turns and I, in a (rows, n) stack as
+    _starts lifts them, and on non-orthogonal matrices, which the circle path
+    lifts too."""
+    rot = lift_rotations()
+    skew = np.random.default_rng(1).standard_normal((100, 3, 3))
+    for r in (rot[:200], rot[200:], rot[:200].reshape(50, 4, 3, 3), skew):
+        assert _su2_lift(r).tobytes() == take_along_axis_lift(r).tobytes()
 
 
 def analytic_hits(n, t):
@@ -642,7 +671,8 @@ def test_gram_spectrum_matches_the_svd(n, monkeypatch):
     Gram eigenvalues (the SVD only at n = 3, where 2**n < 3n) and match the
     SVD of the Pauli images within 1e-13 relative."""
     svd_inputs, images = [], stabilizer._pauli_images
-    monkeypatch.setattr(stabilizer, "_pauli_images", lambda a: svd_inputs.append(a) or images(a))
+    monkeypatch.setattr(stabilizer, "_pauli_images",
+                        lambda a, *rest: svd_inputs.append(a) or images(a, *rest))
     for seed in range(3):
         rep = gtilde_triviality_probe(sample_haar_state(n, 600 + seed)).representative
         expected = np.linalg.svd(_pauli_images(rep.amplitudes), compute_uv=False)
@@ -663,7 +693,8 @@ def test_gram_spectrum_matches_the_svd(n, monkeypatch):
 ])
 def test_lie_probe_falls_back_to_the_svd(psi, expected, monkeypatch):
     svd_inputs, images = [], stabilizer._pauli_images
-    monkeypatch.setattr(stabilizer, "_pauli_images", lambda a: svd_inputs.append(a) or images(a))
+    monkeypatch.setattr(stabilizer, "_pauli_images",
+                        lambda a, *rest: svd_inputs.append(a) or images(a, *rest))
     assert lie_stabilizer_dim(psi).lie_dim == expected
     assert len(svd_inputs) == 1
 
@@ -676,7 +707,8 @@ def test_search_call_counts(monkeypatch):
     gathered = []
     for module in (states, stabilizer, critical):
         monkeypatch.setattr(module, "_pauli_images",
-                            lambda a, f=module._pauli_images: gathered.append(a.copy()) or f(a))
+                            lambda a, *rest, f=module._pauli_images:
+                            gathered.append(a.copy()) or f(a, *rest))
     for psi in (make_ln(5), make_gabcd(1, 2 + 1j, 3, 0.5), sample_haar_state(5, 1),
                 sample_haar_state(6, 1)):
         gathered.clear()
@@ -697,3 +729,31 @@ def test_search_call_counts(monkeypatch):
         start = starts[0][0]  # a factor 0 may come back negated
         assert sum(f.shape == start.shape and np.array_equal(abs(f), abs(start))
                    for f in applied) == 1
+
+
+@pytest.mark.parametrize("n,seed", [(5, 2000), (5, 2017), (5, 2020),
+                                    (6, 3008), (6, 3009), (6, 3018), (6, 3025)])
+def test_census_probes_polish_no_row(n, seed, monkeypatch):
+    """Counts, not timings: a self-symmetry search has no identity row on the
+    exact path.  On these census states that row started just above the 1e-14
+    stop rule and was polished."""
+    polished, polish = [], stabilizer._polish_rows
+    monkeypatch.setattr(stabilizer, "_polish_rows",
+                        lambda *a: polished.append(len(a[3])) or polish(*a))
+    (record,) = genericity_report(n, 1, seed=seed).records
+    assert record.gtilde_verdict == "trivial"
+    assert polished == []
+
+
+def test_self_search_starts_without_the_identity_row():
+    """For target psi, det(A A') = 1 and the sign diagonal I gives R_k = I on
+    every qubit: a row trivial at every phase, which _starts leaves out; an
+    alignment with another state keeps all 4 sign diagonals."""
+    psi = make_gabcd(1, 2 + 1j, 3, 0.5)
+    start, path = _starts(psi, psi, 32, 0, True)
+    assert (path, len(start)) == ("pair_exact", 3)
+    assert np.all(_chain_distance(start, np.eye(2)) > _IDENTITY_EXCLUSION_RADIUS)
+    reps = [gtilde_triviality_probe(sample_haar_state(5, s)).representative for s in (0, 1)]
+    for phi, other in ((psi, apply_chain(sample_chain(4, "K", 1), psi)), reps):
+        start, path = _starts(phi, other, 32, 0, False)
+        assert (path, len(start)) == ("pair_exact", 4)
