@@ -38,7 +38,6 @@ from .convert import (
     pmax,
     build_protocol,
     simulate_protocol,
-    deterministic_convertible,
     find_connector,
 )
 from .genericity import (

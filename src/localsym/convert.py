@@ -34,7 +34,6 @@ from .states import (
     _apply_next,
     _require_normalized,
     _require_seed,
-    _unitary_deviation,
 )
 from .critical import scale_to_critical
 from .stabilizer import _REPRESENTATIVE_TOL, _align, _require_budget
@@ -45,7 +44,6 @@ __all__ = [
     "pmax",
     "build_protocol",
     "simulate_protocol",
-    "deterministic_convertible",
     "find_connector",
 ]
 
@@ -156,24 +154,6 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
     empirical = successes / trials
     return ProtocolRunStats(trials, successes, empirical,
                             success_fid if successes else None, seed)
-
-
-def deterministic_convertible(psi: PureState, chain: LocalOperatorChain
-                              ) -> tuple[bool, str]:
-    """Whether the conversion succeeds with certainty, with a diagnosis.
-
-    Valid as an if-and-only-if criterion when the caller has certified
-    that psi has trivial product-symmetry group: the rescaled connector
-    must then be factor-wise unitary, equivalently p_max = 1.
-    """
-    plan = pmax(psi, chain)
-    dev = _unitary_deviation(plan.connector.factors)
-    if dev <= 1e-10:
-        return True, "connector is factor-wise unitary (local-unitary conversion)"
-    return False, (
-        f"connector is not local-unitary (max factor deviation {dev:.2e}, "
-        f"p_max = {plan.p_max:.6g})"
-    )
 
 
 def find_connector(psi: PureState, phi: PureState, restarts: int = 32,

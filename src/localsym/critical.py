@@ -40,7 +40,6 @@ from .states import (
     _apply_next,
     _moments,
     _pauli_images,
-    _pauli_tables,
     _require_normalized,
 )
 
@@ -116,11 +115,10 @@ def _flattening_factor(a: float, b: float, c: complex) -> np.ndarray | None:
                      [-c.conjugate() * scale, (a + root) * scale]])
 
 
-def _newton_factors(t: np.ndarray, sq_norm: float, tables: tuple | None = None
-                    ) -> np.ndarray | None:
+def _newton_factors(t: np.ndarray, sq_norm: float) -> np.ndarray | None:
     """The factors of E(x) = (x)_k exp(x_k . sigma / 2) for a Newton step x on
     log ||E(x) phi||**2 at phi = t, of squared norm sq_norm; None if the
-    solve fails or is not finite; ``tables`` as in ``states._pauli_images``.
+    solve fails or is not finite.
 
     The gradient is the Bloch vectors r_ka = <sigma_a on qubit k> and the
     Hessian H = C - r r^T, for C the real Gram matrix of the 3n Pauli images
@@ -130,7 +128,7 @@ def _newton_factors(t: np.ndarray, sq_norm: float, tables: tuple | None = None
     cosh(|x_k|/2) I + sinh(|x_k|/2) x_k . sigma / |x_k| is Hermitian,
     positive and of determinant one.
     """
-    images = _pauli_images(t.reshape(-1), tables).view(float)
+    images = _pauli_images(t.reshape(-1)).view(float)
     r = images @ t.reshape(-1).view(float) / sq_norm
     try:
         x = np.linalg.solve(images @ images.T / sq_norm - r[:, None] * r, -r).reshape(-1, 3)
@@ -178,7 +176,7 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     initial_norm = _require_normalized(psi)
     n = psi.n
-    t, tables = psi.amplitudes.reshape(2, -1), None
+    t = psi.amplitudes.reshape(2, -1)
     acc = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
     steps = np.empty_like(acc)
     trajectory = [initial_norm]
@@ -201,8 +199,7 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
             return finish("max_iter", it)
         newton = None
         if _NEWTON_MIN_QUBITS <= n <= _NEWTON_MAX_QUBITS:
-            tables = tables or _pauli_tables(t.size)  # at the first Newton step
-            newton = _newton_factors(t, first[0] + first[1], tables)
+            newton = _newton_factors(t, first[0] + first[1])
         if newton is not None:
             u = _apply_factors(newton, t.reshape(-1)).reshape(2, -1)
             if (nrm := np.linalg.norm(u)) <= trajectory[-1] * (1 + _NEWTON_NORM_SLACK):

@@ -35,9 +35,7 @@ from .states import (
     _correlations,
     _ginibre,
     _haar_u2,
-    _pauli_gram,
     _pauli_images,
-    _pauli_tables,
     _require_seed,
 )
 from .critical import criticality_report, scale_to_critical
@@ -84,14 +82,14 @@ class TrivialityVerdict:
     tol: float
 
 
-def _lie_probe(psi: PureState, is_critical: bool) -> tuple[StabilizerProbe, np.ndarray]:
-    """``lie_stabilizer_dim`` for a caller that knows whether psi is critical, and psi's
-    ``_pauli_gram`` C.  For critical psi the Pauli images P (sl(2, C)**n) have P P^dag = C
+def _lie_probe(psi: PureState, is_critical: bool) -> StabilizerProbe:
+    """``lie_stabilizer_dim`` for a caller that knows whether psi is critical.  For
+    critical psi the Pauli images P (sl(2, C)**n) have P P^dag = C, psi's ``pauli_gram``
     (diagonal blocks I_3 + i eps_abc <sigma_c> = I_3, Hermitian products off them), so
     sigma = sqrt(eig C).  The SVD of P decides when lambda_min < 1e-8 lambda_max (lambda
     cannot resolve a 1e-8 sigma cutoff), if psi is not known critical or 2**n < 3n."""
-    gram = _pauli_gram(psi.amplitudes)
-    lam = np.linalg.eigvalsh(gram)[::-1] if is_critical and psi.dim >= 3 * psi.n else [0.0]
+    use_gram = is_critical and psi.dim >= 3 * psi.n
+    lam = np.linalg.eigvalsh(psi.pauli_gram)[::-1] if use_gram else [0.0]
     if lam[-1] >= 1e-8 * lam[0] > 0:
         sv = np.sqrt(lam)
     else:  # pad to 3n: for 2**n < 3n the svd has 2**n values, the rest is structural
@@ -100,7 +98,7 @@ def _lie_probe(psi: PureState, is_critical: bool) -> tuple[StabilizerProbe, np.n
     smax = sv[0]
     rank = int(np.sum(sv > _SVD_CUTOFF * smax)) if smax > 0 else 0
     lie_dim = 3 * psi.n - rank
-    return StabilizerProbe(lie_dim, sv, is_critical and lie_dim == 0), gram
+    return StabilizerProbe(lie_dim, sv, is_critical and lie_dim == 0)
 
 
 def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
@@ -112,7 +110,7 @@ def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
     fallback (``_lie_probe``).  The Pauli basis is orthonormal, so they are
     invariant under local unitaries and qubit permutations.
     """
-    return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical)[0]
+    return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +150,10 @@ def _polish_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray | None,
     free = phases is None
     t = np.exp(1j * np.angle(chi @ target.conj())) if free else phases
     live, fac, n = np.arange(len(factors)), factors, factors.shape[1]
-    residual, tables = np.empty(len(factors)), _pauli_tables(psi.size)
+    residual = np.empty(len(factors))
     best, stalls = np.full(live.size, np.inf), np.zeros(live.size, dtype=int)
     for step in range(1000):
-        images = _pauli_images(chi, tables).view(float)
+        images = _pauli_images(chi).view(float)
         ir = (1j * (chi - t[:, None] * target)).view(float)
         grad = images @ ir[..., None]
         x = -2.0 * np.linalg.pinv(images @ images.swapaxes(-1, -2), hermitian=True) @ grad
@@ -226,7 +224,7 @@ def _critical_angles(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
-            special: bool, gram: np.ndarray | None = None) -> tuple[np.ndarray, str]:
+            special: bool) -> tuple[np.ndarray, str]:
     """Start rows (rows, n, 2, 2) aligning psi with target, and their path.
 
     With T_12(psi) = A S B^T and T_12(target) = A' S B'^T, R_1 = A' P A^T
@@ -238,16 +236,15 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     so h = sum_k ||R_k^T R_k - I||^2 (zero at a symmetry) and, if h = 0,
     q = |<target|u psi>|^2 (one at a symmetry) have degree D = max(n, 4):
     the rows are their critical points.  Random row r: derive_rng(seed, r).
-    ``gram`` is psi's ``_pauli_gram`` if the caller has it.
     """
-    src = _correlations(_pauli_gram(psi.amplitudes) if gram is None else gram)
+    src = _correlations(psi.pauli_gram)
     a, s, _ = np.linalg.svd(src)  # of every T_1k; T_12 is index 0
     equal = -np.diff(s[0]) <= _GAP_TOL * s[0, 0]
     if equal.all() or not np.all(s[:, -1] * _COND_TOL > s[:, 0]):
         return _haar_u2(np.stack([_ginibre(derive_rng(seed, r), (psi.n,))
                                   for r in range(restarts)]), special), "random"
     path = "pair_circle" if equal.any() else "pair_exact"
-    dst = src if target is psi else _correlations(_pauli_gram(target.amplitudes))
+    dst = src if target is psi else _correlations(target.pauli_gram)
     a, s, a2 = a[0], s[0], a[0] if target is psi else np.linalg.svd(dst[0])[0]
     det = np.linalg.det(a) * np.linalg.det(a2)
     inv_src_t = np.linalg.inv(src).swapaxes(-1, -2)
@@ -272,17 +269,16 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     r = circle(np.tile(2 * np.pi * np.arange(size) / size, 2), np.repeat([1.0, -1.0], size))
     h = np.sum(abs(r.swapaxes(-1, -2) @ r - np.eye(3)) ** 2, axis=(1, 2, 3))
     q = abs(_apply_factors(_su2_lift(r), psi.amplitudes) @ target.amplitudes.conj()) ** 2
-    nrm = psi.norm()  # one norm() if target is psi
-    q = q / (nrm * (nrm if target is psi else target.norm())) ** 2
+    q = q / (psi.norm() * target.norm()) ** 2
     f = np.stack([h, q]).reshape(2, 2, -1)  # f, eps, theta
     theta, row = _critical_angles(f.swapaxes(0, 1).reshape(4, -1))  # rows 0, 1 at eps = 1
     return _su2_lift(circle(theta, np.where(row < 2, 1.0, -1.0))), path
 
 
 def _align(psi: PureState, target: PureState, phases, restarts: int, seed: int,
-           special: bool, gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, str]:
+           special: bool) -> tuple[np.ndarray, np.ndarray, str]:
     """Minimize ||u psi - t target|| over SU(2)^n, or over U(2)^n and the
-    phase t, by ``_polish_rows`` from ``_starts`` (``gram`` as there).
+    phase t, by ``_polish_rows`` from ``_starts``.
 
     Every phase reads the same start rows, applied once.  On the exact and
     circle paths they are every candidate, and a row that does not start
@@ -294,11 +290,11 @@ def _align(psi: PureState, target: PureState, phases, restarts: int, seed: int,
     check restarts >= 1.
     """
     phases = np.asarray(phases, dtype=complex)
-    start, path = _starts(psi, target, restarts, seed, special, gram)
+    start, path = _starts(psi, target, restarts, seed, special)
     factors = np.tile(start, (phases.size, 1, 1, 1, 1))
     residuals = np.full((phases.size, len(start)), np.inf)
     chunk = max(1, _BATCH_BYTES // (16 * 3 * psi.n * psi.dim * phases.size))
-    norms = (nrm := psi.norm()) * (nrm if target is psi else target.norm())  # once per call
+    norms = psi.norm() * target.norm()
     for lo in range(0, len(start), chunk):
         chi = _apply_factors(start[lo:lo + chunk], psi.amplitudes)
         ov = chi @ target.amplitudes.conj()
@@ -335,14 +331,14 @@ def _require_budget(restarts: int, seed: int, tol: float | None = None) -> None:
         raise ValueError(f"search tolerance must be positive and finite, got {tol}")
 
 
-def _search(psi: PureState, phases, restarts: int, seed: int, tol: float, gram: np.ndarray
+def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
             ) -> tuple[list[tuple[complex, LocalOperatorChain, float]], str]:
     """Verified hits (t, u, ||u psi - t psi||) below tol in phase order, and the
-    path; ``gram`` is psi's ``_pauli_gram``.  One apply re-verifies all rows
-    below tol, rows near the identity are dropped for t = +-1, and a row near
-    a hit kept before it at its phase is merged; only kept hits become chains.
+    path.  One apply re-verifies all rows below tol, rows near the identity are
+    dropped for t = +-1, and a row near a hit kept before it at its phase is
+    merged; only kept hits become chains.
     """
-    all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, True, gram)
+    all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, True)
     p, r = np.nonzero(all_residuals < tol)
     if not p.size:
         return [], path
@@ -390,10 +386,10 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     if not crit.is_critical:
         raise ValueError("precondition failed: criticality "
                          f"(max deviation {crit.max_deviation:.2e})")
-    probe, gram = _lie_probe(psi, is_critical=True)
+    probe = _lie_probe(psi, is_critical=True)
     if probe.lie_dim != 0:
         raise ValueError(f"precondition failed: lie_dim (got {probe.lie_dim}, need 0)")
-    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol, gram)[0]]
+    return [(chain, res) for _, chain, res in _search(psi, (t,), restarts, seed, tol)[0]]
 
 
 def adjoint_closure_check(psi: PureState, chain: LocalOperatorChain) -> tuple[float, float]:
@@ -435,7 +431,7 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
                                  None, None, restarts, tol)
     rep = scaling.representative
     # converged at 1e-11, so critical at the 1e-8 of the search preconditions
-    probe, gram = _lie_probe(rep, is_critical=True)
+    probe = _lie_probe(rep, is_critical=True)
 
     def verdict(outcome: str, gate: str | None) -> TrivialityVerdict:
         return TrivialityVerdict(outcome, gate, probe, rep, restarts, tol)
@@ -444,7 +440,7 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
         return verdict("non_trivial", "lie_dim")
     # odd n: the searches at t = 1, i, -i run as one batch; gates keep their order
     phases = (1.0,) if rep.n % 2 == 0 else (1.0, 1j, -1j)
-    hits, probe.start_path = _search(rep, phases, restarts, seed, tol, gram)
+    hits, probe.start_path = _search(rep, phases, restarts, seed, tol)
     probe.discrete_candidates = [(chain, res) for t, chain, res in hits if t == 1.0]
     if probe.discrete_candidates:
         return verdict("non_trivial", "discrete_search")

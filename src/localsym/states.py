@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class PureState:
     """Pure state of ``n`` qubits; possibly unnormalized.
 
     Operations that need unit norm state it as a precondition rather
-    than silently renormalizing.
+    than silently renormalizing.  The amplitudes are a read-only copy of
+    the input, so the norm and the Pauli Gram matrix are computed once.
     """
 
     n: int
@@ -60,7 +62,7 @@ class PureState:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
-        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex, order="C")
         if amp.shape != (2**self.n,):
             raise ValueError(
                 f"amplitude vector must have length {2**self.n}, got shape {amp.shape}"
@@ -79,10 +81,22 @@ class PureState:
         return self.amplitudes.reshape((2,) * self.n)
 
     def norm(self) -> float:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
         # divided by the largest modulus first: squares of amplitudes
         # near 1e300 would overflow
         big = np.max(np.abs(self.amplitudes))
         return float(big * np.linalg.norm(self.amplitudes / big)) if big > 0 else 0.0
+
+    @cached_property
+    def pauli_gram(self) -> np.ndarray:
+        """C = Re P P^dag, the real, read-only (3n, 3n) Gram matrix of the Pauli images P."""
+        im = _pauli_images(self.amplitudes).view(float)
+        gram = im @ im.T
+        gram.setflags(write=False)
+        return gram
 
     def normalized(self) -> "PureState":
         big = np.max(np.abs(self.amplitudes))
@@ -100,6 +114,7 @@ class LocalOperatorChain:
     construction: "G" (SL(2,C) factors), "K" (SU(2)), "Gt" (GL(2,C)),
     "Kt" (U(2)).  ``scalar`` is an optional global prefactor kept
     separate so determinant-one structure of the factors is preserved.
+    The factors are a read-only copy of the input.
     """
 
     factors: np.ndarray
@@ -107,7 +122,7 @@ class LocalOperatorChain:
     scalar: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        fac = np.ascontiguousarray(self.factors, dtype=complex)
+        fac = np.array(self.factors, dtype=complex, order="C")
         if fac.ndim != 3 or fac.shape[1:] != (2, 2):
             raise ValueError(f"factors must have shape (n, 2, 2), got {fac.shape}")
         if self.group_tag not in GROUP_TAGS:
@@ -246,35 +261,33 @@ _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _UNIT_AND_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]).reshape(4, 4)
 
 
+@lru_cache(maxsize=8)  # bounded: the tables of one size at n = 20 take 0.67 GB
 def _pauli_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n, dim) gather index, sigma_z signs and -i sigma_z phases of ``_pauli_images``."""
+    """The read-only (n, dim) gather index, sigma_z signs and -i sigma_z phases of
+    ``_pauli_images``, built once per size."""
     j = np.arange(dim)
     bits = (dim >> np.arange(1, dim.bit_length()))[:, None]  # row k: qubit k's bit
     z = np.where(j & bits, -1.0, 1.0)
-    return j ^ bits, z, -1j * z
+    tables = j ^ bits, z, -1j * z
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _pauli_images(amp: np.ndarray, tables: tuple | None = None) -> np.ndarray:
+def _pauli_images(amp: np.ndarray) -> np.ndarray:
     """(..., 3n, 2**n) array whose row 3k + a is sigma_a on qubit k (0-based) of flat
     amplitudes (..., 2**n): the tangent map of sl(2, C)**n in a basis orthonormal on
     each qubit.  Its real Gram matrix / ||amp||**2 is I_3 on diagonal blocks, T_jk off them.
-    One gather: sigma_x flips qubit k's bit of the index, sigma_z is its sign, sigma_y = -i z x;
-    ``tables`` are ``_pauli_tables(2**n)``, built here if None."""
-    index, z, yz = _pauli_tables(amp.shape[-1]) if tables is None else tables
+    One gather: sigma_x flips qubit k's bit of the index, sigma_z is its sign, sigma_y = -i z x."""
+    index, z, yz = _pauli_tables(amp.shape[-1])
     x = amp[..., index]
     images = np.stack([x, yz * x, z * amp[..., None, :]], -2)  # (..., n, 3, 2**n)
     return images.reshape(amp.shape[:-1] + (-1, amp.shape[-1]))
 
 
-def _pauli_gram(amp: np.ndarray) -> np.ndarray:
-    """C = Re P P^dag, the real (3n, 3n) Gram matrix of the Pauli images P of amp."""
-    im = _pauli_images(amp).view(float)
-    return im @ im.T
-
-
 def _correlations(gram: np.ndarray) -> np.ndarray:
     """T_1k[a, b] = <sigma_a (x) sigma_b> on qubits 1 and k, k = 2..n, of the normalized
-    state: (n - 1, 3, 3) blocks of its ``_pauli_gram``, over gram[0, 0] = ||amp||**2."""
+    state: (n - 1, 3, 3) blocks of its ``PureState.pauli_gram``, over gram[0, 0] = ||amp||**2."""
     return gram[:3, 3:].reshape(3, -1, 3).swapaxes(0, 1) / gram[0, 0]
 
 

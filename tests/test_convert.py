@@ -10,7 +10,6 @@ from localsym import (
     pmax,
     build_protocol,
     simulate_protocol,
-    deterministic_convertible,
     find_connector,
     make_ghz,
     make_ln,
@@ -19,6 +18,7 @@ from localsym import (
 )
 
 from localsym import stabilizer
+from localsym.states import _unitary_deviation
 from conftest import kron_all
 
 
@@ -170,13 +170,16 @@ def test_simulation_requires_measurements():
 
 
 def test_deterministic_convertible():
+    """p_max = 1 exactly when the rescaled connector is factor-wise unitary."""
     psi = sample_haar_state(4, 6)
-    ok, why = deterministic_convertible(psi, sample_chain(4, "K", 7))
-    assert ok and "unitary" in why
+    plan = pmax(psi, sample_chain(4, "K", 7))
+    assert abs(plan.p_max - 1.0) <= 1e-12
+    assert _unitary_deviation(plan.connector.factors) <= 1e-10
     bad_factors = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
     bad_factors[0] = np.diag([2.0, 0.5])
-    no, why = deterministic_convertible(psi, LocalOperatorChain(bad_factors, "G"))
-    assert not no and "p_max" in why
+    plan = pmax(psi, LocalOperatorChain(bad_factors, "G"))
+    assert plan.p_max < 1.0
+    assert _unitary_deviation(plan.connector.factors) > 1e-10
 
 
 def test_find_connector_roundtrip():

@@ -15,9 +15,8 @@ from localsym import (
     make_w,
     sample_haar_state,
 )
-from localsym import critical
 from localsym.critical import _flattening_factor, _newton_factors
-from localsym.states import _moments
+from localsym.states import _moments, _pauli_tables
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -412,16 +411,15 @@ def test_min_norm_probe_rejects_noncritical():
         min_norm_probe(make_w(3))
 
 
-def test_scaling_builds_pauli_tables_once(monkeypatch):
-    """Counts, not timings: a Newton-range scaling builds the Pauli tables at
-    its first Newton step and reuses them; a critical input builds none."""
-    calls, tables = [], critical._pauli_tables
-    monkeypatch.setattr(critical, "_pauli_tables", lambda dim: calls.append(dim) or tables(dim))
+def test_scaling_builds_pauli_tables_once():
+    """Counts, not timings: a Newton-range scaling builds the Pauli tables of
+    its size once and reuses them; a critical input builds none."""
     for n in (4, 5, 6, 8):
-        calls.clear()
+        _pauli_tables.cache_clear()
         result = scale_to_critical(sample_haar_state(n, 7), tol=1e-11)
         assert result.status == "converged" and result.iterations >= 3
-        assert calls == [2**n]
-    calls.clear()
+        _pauli_tables(2**n)  # a hit: the one table built is this size's
+        assert _pauli_tables.cache_info()[1:] == (1, 8, 1)  # misses, maxsize, currsize
+    _pauli_tables.cache_clear()
     assert scale_to_critical(make_ln(5)).iterations == 0
-    assert calls == []
+    assert _pauli_tables.cache_info().misses == 0

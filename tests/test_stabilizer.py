@@ -11,6 +11,7 @@ from localsym import (
     phase_stabilizer_search,
     gtilde_triviality_probe,
     adjoint_closure_check,
+    find_connector,
     make_ghz,
     make_ln,
     make_w,
@@ -22,7 +23,7 @@ from localsym import (
 from localsym import critical, stabilizer
 from localsym import states
 from localsym.states import (_PAULIS, _apply_factors, _correlations, _ginibre, _haar_u2,
-                             _pauli_gram, _pauli_images, derive_rng)
+                             _pauli_images, _pauli_tables, derive_rng)
 from localsym.genericity import genericity_report
 from localsym.stabilizer import (_DEDUP_RADIUS, _IDENTITY_EXCLUSION_RADIUS, _align,
                                  _chain_distance, _critical_angles, _polish_rows,
@@ -344,7 +345,7 @@ def test_l4_random_path_witnesses():
 def test_correlations_match_dense_oracle(n):
     psi = sample_haar_state(n, 40 + n)
     amp = 2.0 * psi.amplitudes  # the tensors are those of the normalized state
-    tensors = _correlations(_pauli_gram(amp))
+    tensors = _correlations(PureState(n, amp).pauli_gram)
     assert tensors.shape == (n - 1, 3, 3)
     for k in range(2, n + 1):
         for a, sa in enumerate(_PAULIS):
@@ -504,7 +505,7 @@ def test_circle_path_finds_the_exact_paths_symmetries(index, monkeypatch):
     - I||^2 non-zero, so its zeros must yield the three Pauli-type hits."""
     verdict = gtilde_triviality_probe(sample_haar_state(4, derive_rng(1, index, 0)))
     rep = verdict.representative
-    sv = np.linalg.svd(_correlations(_pauli_gram(rep.amplitudes))[0], compute_uv=False)
+    sv = np.linalg.svd(_correlations(rep.pauli_gram)[0], compute_uv=False)
     gaps = -np.diff(sv) / sv[0]
     monkeypatch.setattr(stabilizer, "_GAP_TOL", np.sqrt(gaps[0] * gaps[1]))
     assert _starts(rep, rep, 32, 0, True)[1] == "pair_circle"
@@ -652,11 +653,11 @@ HIT_STATES = {"gabcd": make_gabcd(1, 2 + 1j, 3, 0.5), **{f"L{n}": make_ln(n) for
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_one_pass_hit_check_matches_per_row_loop(name, seed):
     psi = HIT_STATES[name]
-    gram, found = _pauli_gram(psi.amplitudes), 0
+    found = 0
     for phases in ((1.0,), (-1.0,), (1j,), (-1j,), (1.0, -1.0, 1j, -1j)):
         factors, residuals, _ = _align(psi, psi, phases, 32, seed, special=True)
         expected = per_row_hits(psi, phases, factors, residuals, 1e-8)
-        hits, _ = stabilizer._search(psi, phases, 32, seed, 1e-8, gram)
+        hits, _ = stabilizer._search(psi, phases, 32, seed, 1e-8)
         assert [t for t, _, _ in hits] == [t for t, _, _ in expected]
         for (_, chain, check), (_, ref, ref_check) in zip(hits, expected):
             assert chain.factors.tobytes() == ref.factors.tobytes()
@@ -729,6 +730,18 @@ def test_search_call_counts(monkeypatch):
         start = starts[0][0]  # a factor 0 may come back negated
         assert sum(f.shape == start.shape and np.array_equal(abs(f), abs(start))
                    for f in applied) == 1
+
+
+def test_probes_build_the_pauli_tables_once():
+    """Counts, not timings: scaling, Lie gate, starts and polish of every probe,
+    search and connector at one size share one set of Pauli tables."""
+    _pauli_tables.cache_clear()
+    genericity_report(5, 5)
+    phase_stabilizer_search(make_ln(5), 1j)
+    psi = sample_haar_state(5, 12)
+    phi = apply_chain(sample_chain(5, "G", 13), psi).normalized()
+    assert find_connector(psi, phi) is not None
+    assert _pauli_tables.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n,seed", [(5, 2000), (5, 2017), (5, 2020),

@@ -24,7 +24,7 @@ from localsym import (
     find_connector,
     genericity_report,
 )
-from localsym.states import _apply_factors, _pauli_images
+from localsym.states import _apply_factors, _pauli_images, _unitary_deviation
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -47,6 +47,47 @@ def test_norm_and_normalize_near_overflow():
     np.testing.assert_allclose(psi.normalized().amplitudes, np.full(4, 0.5), rtol=1e-15)
     big = PureState(2, np.full(4, 1e308, dtype=complex))
     np.testing.assert_allclose(big.normalized().amplitudes, np.full(4, 0.5), rtol=1e-15)
+
+
+def test_purestate_copies_its_input():
+    """Writing through a view made before construction changes no state, and the
+    caller's array stays writeable."""
+    amp = np.full(4, 0.5, dtype=complex)
+    view = amp[:]
+    psi = PureState(2, amp)
+    view[0] = np.nan
+    assert amp.flags.writeable and not psi.amplitudes.flags.writeable
+    np.testing.assert_array_equal(psi.amplitudes, np.full(4, 0.5))
+    assert psi.norm() == 1.0
+
+
+def test_chain_copies_its_input():
+    """A K chain keeps unitary factors whatever the caller writes afterwards."""
+    factors = np.array(sample_chain(3, "K", 5).factors)
+    view, expected = factors[:], factors.copy()
+    chain = LocalOperatorChain(factors, "K")
+    view[0] = np.diag([2.0, 0.5])
+    assert factors.flags.writeable and not chain.factors.flags.writeable
+    np.testing.assert_array_equal(chain.factors, expected)
+    assert _unitary_deviation(chain.factors) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), exponent=st.integers(-300, 300), seed=st.integers(0, 2**16))
+def test_norm_and_gram_are_computed_once(n, exponent, seed):
+    """The memoized norm and Pauli Gram matrix equal a fresh computation bitwise,
+    across the overflow guard of norm(), and repeated access returns the same object."""
+    amp = 10.0**exponent * sample_haar_state(n, seed).amplitudes
+    psi = PureState(n, amp)
+    big = np.max(np.abs(amp))
+    assert psi.norm() == float(big * np.linalg.norm(amp / big))
+    assert psi.norm() is psi.norm()
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e300 overflow
+        images = _pauli_images(amp).view(float)
+        expected = images @ images.T
+        gram = psi.pauli_gram
+    assert gram.tobytes() == expected.tobytes()
+    assert psi.pauli_gram is gram and not gram.flags.writeable
 
 
 def test_make_w_n2():
