@@ -12,7 +12,8 @@ outcome 0.
 
 A chain is one (n, 2, 2) stack and every per-party quantity (lambda_j,
 the measurements, the connector's factors) is one batched 2x2 operation
-on it; only the protocol's state trajectory runs party by party.
+on it.  A plan applies a chain to psi twice: g psi gives both the
+rescale and the target, and (x)_j N0_j psi the protocol's success branch.
 
 For a state with trivial product-symmetry group the value is the exact
 LOCC/SEP optimum; otherwise the connector is not unique and the same
@@ -31,7 +32,7 @@ from .states import (
     apply_chain,
     fidelity,
     derive_rng,
-    _apply_next,
+    _apply_factors,
     _require_normalized,
     _require_seed,
 )
@@ -47,7 +48,6 @@ __all__ = [
     "find_connector",
 ]
 
-_SINGULAR_FACTOR_TOL = 1e-12
 _MAX_TRIALS = int(np.iinfo(np.int64).max)  # the largest count Generator.binomial takes
 
 
@@ -70,19 +70,19 @@ class ProtocolRunStats:
     seed: int
 
 
-def _rescaled_connector(psi: PureState, chain: LocalOperatorChain) -> LocalOperatorChain:
-    """Distribute 1/||g psi||^(1/n) into each factor so the target is unit norm."""
-    fac = np.asarray(chain.factors, dtype=complex)
-    sq_norms = np.einsum("kij,kij->k", fac, fac.conj()).real
-    dets = np.linalg.det(fac)
-    if np.min(np.abs(dets)) < _SINGULAR_FACTOR_TOL * np.max(sq_norms):
-        raise ValueError("connector has a numerically singular factor")
-    out_norm = apply_chain(chain, psi).norm()
+def _rescaled_connector(psi: PureState,
+                        chain: LocalOperatorChain) -> tuple[LocalOperatorChain, PureState]:
+    """(g', g psi / ||g psi||) from one product g psi: g' has 1/||g psi||^(1/n)
+    distributed into each factor, so g' psi is that unit-norm target.  The Gt
+    tag rejects a numerically singular factor, as a positive rescale keeps
+    its relative determinant test."""
+    out = apply_chain(chain, psi)
+    out_norm = out.norm()
     if out_norm == 0.0:
         raise ValueError("g psi underflows to zero; rescale the chain's factors")
     scale = (abs(chain.scalar) / out_norm) ** (1.0 / chain.n)
-    return LocalOperatorChain(fac * scale, "Gt",
-                              scalar=chain.scalar / abs(chain.scalar))
+    g = LocalOperatorChain(chain.factors * scale, "Gt", scalar=chain.scalar / abs(chain.scalar))
+    return g, PureState(psi.n, out.amplitudes / out_norm)
 
 
 def pmax(psi: PureState, chain: LocalOperatorChain,
@@ -95,7 +95,7 @@ def pmax(psi: PureState, chain: LocalOperatorChain,
     status, never the number.
     """
     _require_normalized(psi)
-    g = _rescaled_connector(psi, chain)
+    g, target = _rescaled_connector(psi, chain)
     grams = np.transpose(g.factors.conj(), (0, 2, 1)) @ g.factors
     lam = np.linalg.eigvalsh(grams)[:, -1]
     p = float(1.0 / np.prod(lam))
@@ -103,7 +103,6 @@ def pmax(psi: PureState, chain: LocalOperatorChain,
         status = "unknown"
     else:
         status = "exact_optimum" if trivial_stabilizer else "lower_bound"
-    target = apply_chain(g, psi)
     return ConversionPlan(g, lam, p, status, target)
 
 
@@ -126,10 +125,9 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
 
     Parties measure in sequence; outcome 0 for everyone is a success.
     Because a single outcome-1 result aborts the trial, the all-zero
-    branch follows one deterministic state trajectory, so the per-party
-    conditional success probabilities are computed once and the success
-    count is one seeded Binomial(trials, prod_j cond_p_j) draw: O(1) time
-    and memory for any ``trials`` up to 2**63 - 1.
+    branch is one deterministic vector (x)_j N0_j psi, computed once; the
+    success count is one seeded Binomial(trials, ||(x)_j N0_j psi||^2)
+    draw: O(1) time and memory for any ``trials`` up to 2**63 - 1.
     """
     if plan.measurements is None:
         raise ValueError("plan has no measurements; use build_protocol")
@@ -137,19 +135,15 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
         raise ValueError(f"trials must be non-negative and at most 2**63 - 1, got {trials}")
     _require_seed(seed)
     _require_normalized(psi)
-    cond_p = np.empty(psi.n)
-    t = psi.amplitudes.reshape(2, -1)
-    for j, (n0, _) in enumerate(plan.measurements):
-        t = _apply_next(n0, t)
-        nrm = np.linalg.norm(t)
-        cond_p[j] = nrm**2
-        t = t / nrm
-    final = PureState(psi.n, complex(plan.connector.scalar) * t.reshape(-1))
-    success_fid = fidelity(final, plan.target)
+    branch = PureState(psi.n, _apply_factors(np.stack([n0 for n0, _ in plan.measurements]),
+                                             psi.amplitudes))
+    # N0_j has operator norm 1, so no partial product is smaller than this norm
+    nrm = branch.norm()
+    success_fid = fidelity(PureState(psi.n, branch.amplitudes / nrm), plan.target)
 
     if trials == 0:
         return ProtocolRunStats(0, 0, None, None, seed)
-    p = min(1.0, float(np.prod(cond_p)))  # local-unitary connectors: 1 + a few ulps
+    p = min(1.0, nrm**2)  # local-unitary connectors: 1 + a few ulps
     successes = int(derive_rng(seed).binomial(trials, p))
     empirical = successes / trials
     return ProtocolRunStats(trials, successes, empirical,
@@ -180,8 +174,8 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
                                    (1.0,), restarts, seed, special=False)
     u = factors[0, np.argmin(residuals[0])]
     a, b = scale_psi.accumulated_chain.factors, scale_phi.accumulated_chain.factors
-    g = _rescaled_connector(psi, LocalOperatorChain(
+    g, target = _rescaled_connector(psi, LocalOperatorChain(
         np.linalg.solve(b, u @ a), "Gt", scalar=scale_psi.scalar / scale_phi.scalar))
-    if fidelity(apply_chain(g, psi), phi) < 1.0 - 1e-8:
+    if fidelity(target, phi) < 1.0 - 1e-8:
         return None
     return g

@@ -47,7 +47,7 @@ def _unitary_deviation(factors: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(gram - np.eye(2), axis=(-2, -1))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Pure state of ``n`` qubits; possibly unnormalized.
 
@@ -106,7 +106,7 @@ class PureState:
         return PureState(self.n, unit / np.linalg.norm(unit))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperatorChain:
     """g = g_1 (x) ... (x) g_n as n explicit 2x2 matrices.
 

@@ -17,8 +17,8 @@ from localsym import (
     sample_haar_state,
 )
 
-from localsym import stabilizer
-from localsym.states import _unitary_deviation
+from localsym import stabilizer, states
+from localsym.states import _apply_next, _unitary_deviation, derive_rng
 from conftest import kron_all
 
 
@@ -96,6 +96,14 @@ def test_pmax_rejects_chain_that_underflows():
         pmax(make_ln(5), tiny)
 
 
+def test_pmax_rejects_ill_conditioned_unit_determinant_factor():
+    """diag(1e7, 1e-7) has det 1, so tag G takes it, but |det| < 1e-12 ||g||^2."""
+    factors = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
+    factors[2] = np.diag([1e7, 1e-7])
+    with pytest.raises(ValueError):
+        pmax(make_ln(5), LocalOperatorChain(factors, "G"))
+
+
 def test_singular_factor_rejected_at_chain_construction():
     factors = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
     factors[1] = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -152,8 +160,8 @@ def test_simulation_takes_any_int64_trial_count():
 
 
 def test_local_unitary_protocol_always_succeeds():
-    # prod_j cond_p_j is 1 up to rounding and exceeds 1 by a few ulps for
-    # about a third of these states; the draw must clip it, not raise
+    # ||(x)_j N0_j psi||^2 is 1 up to rounding and exceeds 1 by a few ulps
+    # for four of these states; the draw must clip it, not raise
     for s in range(20):
         n = 3 + s % 4
         psi = sample_haar_state(n, s)
@@ -297,3 +305,65 @@ def test_pmax_invariant_under_chain_scaling(n, seed, log_modulus, phase):
     p = pmax(psi, g).p_max
     for scaled in (LocalOperatorChain(factors, "Gt"), LocalOperatorChain(g.factors, "G", scalar=c)):
         assert abs(pmax(psi, scaled).p_max - p) <= 1e-10 * p
+
+
+_TAGS = ("G", "Gt", "K", "Kt")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.sampled_from(_TAGS), st.integers(0, 2**31 - 1),
+       st.floats(0.05, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(-np.pi, np.pi))
+def test_pmax_from_one_product(n, tag, seed, log_modulus, sign, phase):
+    """p_max and lambda_j equal, bitwise, those of the factors rescaled by ||g psi||, and
+    the target, normalized from that same product, is the rescaled connector's g psi."""
+    psi = sample_haar_state(n, seed)
+    base = sample_chain(n, tag, seed + 1)
+    chain = LocalOperatorChain(base.factors, base.group_tag,
+                               scalar=10.0 ** (sign * log_modulus) * np.exp(1j * phase))
+    plan = pmax(psi, chain)
+    scale = (abs(chain.scalar) / apply_chain(chain, psi).norm()) ** (1.0 / n)
+    fac = chain.factors * scale
+    lam = np.linalg.eigvalsh(np.transpose(fac.conj(), (0, 2, 1)) @ fac)[:, -1]
+    assert plan.connector.factors.tobytes() == fac.tobytes()
+    assert plan.per_party_lambda.tobytes() == lam.tobytes()
+    assert plan.p_max == float(1.0 / np.prod(lam))
+    assert abs(plan.target.norm() - 1.0) <= 1e-14
+    assert np.max(np.abs(plan.target.amplitudes
+                         - apply_chain(plan.connector, psi).amplitudes)) <= 1e-14
+
+
+def _walk_reference(plan, psi, trials, seed):
+    """The per-party walk: party j's conditional success probability from the
+    state renormalized after parties 1..j-1, and the final branch state."""
+    cond_p = np.empty(psi.n)
+    t = psi.amplitudes.reshape(2, -1)
+    for j, (n0, _) in enumerate(plan.measurements):
+        t = _apply_next(n0, t)
+        nrm = np.linalg.norm(t)
+        cond_p[j] = nrm**2
+        t = t / nrm
+    final = PureState(psi.n, complex(plan.connector.scalar) * t.reshape(-1))
+    p = min(1.0, float(np.prod(cond_p)))
+    return int(derive_rng(seed).binomial(trials, p)), fidelity(final, plan.target)
+
+
+@pytest.mark.parametrize("tag", _TAGS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_simulation_matches_per_party_walk(n, tag):
+    """One product of the N0 stack draws the same counts as the per-party walk,
+    also for Kt connectors, whose success probability the draw clips to 1."""
+    psi = sample_haar_state(n, 300 + n)
+    plan = build_protocol(psi, sample_chain(n, tag, 400 + n))
+    for seed in range(20):
+        stats = simulate_protocol(plan, psi, 10**6, seed)
+        successes, fid = _walk_reference(plan, psi, 10**6, seed)
+        assert stats.successes == successes
+        assert abs(stats.mean_success_fidelity - fid) <= 1e-12
+
+
+def test_pmax_applies_the_chain_once(monkeypatch):
+    """The rescale and the target come from one product: n factor applications."""
+    calls = []
+    monkeypatch.setattr(states, "_apply_next", lambda *a: calls.append(1) or _apply_next(*a))
+    pmax(sample_haar_state(5, 11), sample_chain(5, "G", 12))
+    assert len(calls) == 5

@@ -72,6 +72,17 @@ def test_chain_copies_its_input():
     assert _unitary_deviation(chain.factors) <= 1e-12
 
 
+@pytest.mark.parametrize("make", [lambda: make_ln(5), lambda: sample_chain(4, "G", 3)],
+                         ids=["state", "chain"])
+def test_equality_and_hash_are_by_identity(make):
+    """Array fields have no truth value, so equal-valued distinct objects compare
+    unequal instead of raising, and every object hashes."""
+    x, y = make(), make()
+    assert not x == y and x != y
+    assert x == x
+    assert {x: 1}[x] == 1 and len({x, y}) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), exponent=st.integers(-300, 300), seed=st.integers(0, 2**16))
 def test_norm_and_gram_are_computed_once(n, exponent, seed):
