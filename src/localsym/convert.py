@@ -13,7 +13,8 @@ outcome 0.
 A chain is one (n, 2, 2) stack and every per-party quantity (lambda_j,
 the measurements, the connector's factors) is one batched 2x2 operation
 on it.  A plan applies a chain to psi twice: g psi gives both the
-rescale and the target, and (x)_j N0_j psi the protocol's success branch.
+rescale and the target, and (x)_j N0_j psi the protocol's success branch;
+the target is the only state a plan builds.
 
 For a state with trivial product-symmetry group the value is the exact
 LOCC/SEP optimum; otherwise the connector is not unique and the same
@@ -29,12 +30,12 @@ import numpy as np
 from .states import (
     PureState,
     LocalOperatorChain,
-    apply_chain,
     fidelity,
     derive_rng,
     _apply_factors,
     _require_normalized,
     _require_seed,
+    _vector_norm,
 )
 from .critical import scale_to_critical
 from .stabilizer import _REPRESENTATIVE_TOL, _align, _require_budget
@@ -70,19 +71,22 @@ class ProtocolRunStats:
     seed: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing g psi fails the norm test
 def _rescaled_connector(psi: PureState,
                         chain: LocalOperatorChain) -> tuple[LocalOperatorChain, PureState]:
-    """(g', g psi / ||g psi||) from one product g psi: g' has 1/||g psi||^(1/n)
-    distributed into each factor, so g' psi is that unit-norm target.  The Gt
-    tag rejects a numerically singular factor, as a positive rescale keeps
-    its relative determinant test."""
-    out = apply_chain(chain, psi)
-    out_norm = out.norm()
-    if out_norm == 0.0:
-        raise ValueError("g psi underflows to zero; rescale the chain's factors")
+    """(g', g psi / ||g psi||) from one product g psi straight from the factor
+    kernel; the target is the only state built.  g' has 1/||g psi||^(1/n) in each
+    factor, so g' psi is that unit-norm target.  The Gt tag rejects a numerically
+    singular factor, as a positive rescale keeps its relative determinant test."""
+    if chain.n != psi.n:
+        raise ValueError(f"chain acts on {chain.n} qubits, state has {psi.n}")
+    out = chain.scalar * _apply_factors(chain.factors, psi.amplitudes)
+    out_norm = _vector_norm(out)
+    if not 0.0 < out_norm < np.inf:
+        raise ValueError("g psi underflows to zero or is not finite; rescale the chain's factors")
     scale = (abs(chain.scalar) / out_norm) ** (1.0 / chain.n)
     g = LocalOperatorChain(chain.factors * scale, "Gt", scalar=chain.scalar / abs(chain.scalar))
-    return g, PureState(psi.n, out.amplitudes / out_norm)
+    return g, PureState(psi.n, out / out_norm)
 
 
 def pmax(psi: PureState, chain: LocalOperatorChain,
@@ -125,9 +129,11 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
 
     Parties measure in sequence; outcome 0 for everyone is a success.
     Because a single outcome-1 result aborts the trial, the all-zero
-    branch is one deterministic vector (x)_j N0_j psi, computed once; the
-    success count is one seeded Binomial(trials, ||(x)_j N0_j psi||^2)
-    draw: O(1) time and memory for any ``trials`` up to 2**63 - 1.
+    branch is one deterministic vector (x)_j N0_j psi, computed once as
+    an array (no state is built); the success count is one seeded
+    Binomial(trials, ||(x)_j N0_j psi||^2) draw: O(1) time and memory for
+    any ``trials`` up to 2**63 - 1.  Zero trials compute nothing past the
+    argument checks.
     """
     if plan.measurements is None:
         raise ValueError("plan has no measurements; use build_protocol")
@@ -135,19 +141,18 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
         raise ValueError(f"trials must be non-negative and at most 2**63 - 1, got {trials}")
     _require_seed(seed)
     _require_normalized(psi)
-    branch = PureState(psi.n, _apply_factors(np.stack([n0 for n0, _ in plan.measurements]),
-                                             psi.amplitudes))
-    # N0_j has operator norm 1, so no partial product is smaller than this norm
-    nrm = branch.norm()
-    success_fid = fidelity(PureState(psi.n, branch.amplitudes / nrm), plan.target)
-
     if trials == 0:
         return ProtocolRunStats(0, 0, None, None, seed)
+    branch = _apply_factors(np.stack([n0 for n0, _ in plan.measurements]), psi.amplitudes)
+    # N0_j has operator norm 1, so no partial product is smaller than this norm
+    nrm = _vector_norm(branch)
     p = min(1.0, nrm**2)  # local-unitary connectors: 1 + a few ulps
     successes = int(derive_rng(seed).binomial(trials, p))
-    empirical = successes / trials
-    return ProtocolRunStats(trials, successes, empirical,
-                            success_fid if successes else None, seed)
+    success_fid = None
+    if successes:  # so nrm > 0
+        target = plan.target
+        success_fid = abs(np.vdot(target.amplitudes, branch)) ** 2 / (nrm * target.norm()) ** 2
+    return ProtocolRunStats(trials, successes, successes / trials, success_fid, seed)
 
 
 def find_connector(psi: PureState, phi: PureState, restarts: int = 32,

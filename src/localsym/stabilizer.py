@@ -379,7 +379,7 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     chains within the identity-exclusion radius are dropped: -I on one
     qubit gives u psi = -psi for every state.
     """
-    if abs(abs(t) - 1.0) > 1e-12:
+    if not abs(abs(t) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"phase must have unit modulus, got |t| = {abs(t)}")
     _require_budget(restarts, seed, tol)
     crit = criticality_report(psi, tol=_CRITICAL_PRE_TOL)

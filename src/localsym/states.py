@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -45,6 +46,13 @@ def _unitary_deviation(factors: np.ndarray) -> float:
     """max over a (n, 2, 2) stack of the Frobenius norm of g^dag g - I."""
     gram = factors.conj().swapaxes(-1, -2) @ factors
     return float(np.max(np.linalg.norm(gram - np.eye(2), axis=(-2, -1))))
+
+
+def _vector_norm(amp: np.ndarray) -> float:
+    """||amp||, divided by the largest modulus first: squares of amplitudes near
+    1e300 would overflow.  Non-finite input returns that modulus, inf or nan."""
+    big = np.max(np.abs(amp))
+    return float(big * np.linalg.norm(amp / big)) if 0.0 < big < np.inf else float(big)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +93,7 @@ class PureState:
 
     @cached_property
     def _norm(self) -> float:
-        # divided by the largest modulus first: squares of amplitudes
-        # near 1e300 would overflow
-        big = np.max(np.abs(self.amplitudes))
-        return float(big * np.linalg.norm(self.amplitudes / big)) if big > 0 else 0.0
+        return _vector_norm(self.amplitudes)
 
     @cached_property
     def pauli_gram(self) -> np.ndarray:
@@ -127,6 +132,9 @@ class LocalOperatorChain:
             raise ValueError(f"factors must have shape (n, 2, 2), got {fac.shape}")
         if self.group_tag not in GROUP_TAGS:
             raise ValueError(f"unknown group tag {self.group_tag!r}")
+        # before det, which warns on them, and the tag tests, which NaN passes
+        if not (np.isfinite(fac).all() and cmath.isfinite(complex(self.scalar))):
+            raise ValueError("factors and scalar must be finite")
         dets = np.linalg.det(fac)
         sq_norms = np.einsum("kij,kij->k", fac, fac.conj()).real
         if self.group_tag == "G":
@@ -281,7 +289,10 @@ def _pauli_images(amp: np.ndarray) -> np.ndarray:
     One gather: sigma_x flips qubit k's bit of the index, sigma_z is its sign, sigma_y = -i z x."""
     index, z, yz = _pauli_tables(amp.shape[-1])
     x = amp[..., index]
-    images = np.stack([x, yz * x, z * amp[..., None, :]], -2)  # (..., n, 3, 2**n)
+    images = np.empty(x.shape[:-1] + (3, x.shape[-1]), complex)  # (..., n, 3, 2**n)
+    images[..., 0, :] = x
+    np.multiply(yz, x, out=images[..., 1, :])
+    np.multiply(z, amp[..., None, :], out=images[..., 2, :])
     return images.reshape(amp.shape[:-1] + (-1, amp.shape[-1]))
 
 

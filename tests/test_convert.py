@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,8 @@ from localsym import (
 )
 
 from localsym import stabilizer, states
-from localsym.states import _apply_next, _unitary_deviation, derive_rng
+from localsym.convert import ProtocolRunStats, _rescaled_connector
+from localsym.states import _apply_factors, _apply_next, _unitary_deviation, derive_rng
 from conftest import kron_all
 
 
@@ -367,3 +370,94 @@ def test_pmax_applies_the_chain_once(monkeypatch):
     monkeypatch.setattr(states, "_apply_next", lambda *a: calls.append(1) or _apply_next(*a))
     pmax(sample_haar_state(5, 11), sample_chain(5, "G", 12))
     assert len(calls) == 5
+
+
+def _reference_rescaled_connector(psi, chain):
+    """The rescale as first written: g psi through ``apply_chain``, a state."""
+    out = apply_chain(chain, psi)
+    out_norm = out.norm()
+    if out_norm == 0.0:
+        raise ValueError("g psi underflows to zero; rescale the chain's factors")
+    scale = (abs(chain.scalar) / out_norm) ** (1.0 / chain.n)
+    g = LocalOperatorChain(chain.factors * scale, "Gt", scalar=chain.scalar / abs(chain.scalar))
+    return g, PureState(psi.n, out.amplitudes / out_norm)
+
+
+def _reference_simulate_protocol(plan, psi, trials, seed):
+    """The simulation as first written, past its argument checks: the branch and
+    its normalized copy as states, the success fidelity through ``fidelity``."""
+    branch = PureState(psi.n, _apply_factors(np.stack([n0 for n0, _ in plan.measurements]),
+                                             psi.amplitudes))
+    nrm = branch.norm()
+    success_fid = fidelity(PureState(psi.n, branch.amplitudes / nrm), plan.target)
+    if trials == 0:
+        return ProtocolRunStats(0, 0, None, None, seed)
+    successes = int(derive_rng(seed).binomial(trials, min(1.0, nrm**2)))
+    return ProtocolRunStats(trials, successes, successes / trials,
+                            success_fid if successes else None, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.sampled_from(_TAGS), st.integers(0, 2**31 - 1),
+       st.floats(0.05, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(-np.pi, np.pi))
+def test_plan_matches_state_building_reference(n, tag, seed, log_modulus, sign, phase):
+    """g psi straight from the kernel and the branch read as an array give the
+    reference's connector and target bitwise, its counts exactly and its success
+    fidelity within 1e-14, for scalars of modulus 10^-3..10^-0.05 and 10^0.05..10^3."""
+    psi = sample_haar_state(n, seed)
+    base = sample_chain(n, tag, seed + 1)
+    chain = LocalOperatorChain(base.factors, base.group_tag,
+                               scalar=10.0 ** (sign * log_modulus) * np.exp(1j * phase))
+    g_ref, target_ref = _reference_rescaled_connector(psi, chain)
+    plan = build_protocol(psi, chain)
+    for g, target in (_rescaled_connector(psi, chain), (plan.connector, plan.target)):
+        assert g.factors.tobytes() == g_ref.factors.tobytes()
+        assert g.scalar == g_ref.scalar
+        assert target.amplitudes.tobytes() == target_ref.amplitudes.tobytes()
+    for sim_seed in range(5):
+        for trials in (0, 1, 10**6):
+            stats = simulate_protocol(plan, psi, trials, sim_seed)
+            ref = _reference_simulate_protocol(plan, psi, trials, sim_seed)
+            assert (stats.trials, stats.successes, stats.empirical_p, stats.seed) == (
+                ref.trials, ref.successes, ref.empirical_p, ref.seed)
+            assert (stats.mean_success_fidelity is None) == (ref.mean_success_fidelity is None)
+            if ref.mean_success_fidelity is not None:
+                assert abs(stats.mean_success_fidelity - ref.mean_success_fidelity) <= 1e-14
+
+
+def test_plan_builds_only_the_states_it_returns(monkeypatch):
+    """pmax, build_protocol and simulate_protocol build two states, the targets of
+    the two rescales (the state-building reference built six), in 3n factor
+    applications; zero trials apply no factor."""
+    n = 6
+    psi, chain = sample_haar_state(n, 13), sample_chain(n, "G", 14)
+    built, calls = [], []
+    post_init = PureState.__post_init__
+    monkeypatch.setattr(PureState, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(states, "_apply_next", lambda *a: calls.append(1) or _apply_next(*a))
+    pmax(psi, chain)
+    plan = build_protocol(psi, chain)
+    simulate_protocol(plan, psi, 10**4, seed=1)
+    assert len(built) == 2
+    assert len(calls) == 3 * n
+    built.clear()
+    calls.clear()
+    assert simulate_protocol(plan, psi, 0, seed=2) == ProtocolRunStats(0, 0, None, None, 2)
+    assert built == calls == []
+
+
+_EYES = np.broadcast_to(np.eye(2), (5, 2, 2))
+
+
+@pytest.mark.parametrize("chain,message", [
+    (sample_chain(4, "G", 0), "acts on 4 qubits, state has 5"),
+    (LocalOperatorChain(1e-150 * _EYES, "Gt"), "underflows"),
+    (LocalOperatorChain(1e70 * _EYES, "Gt"), "is not finite"),
+    (LocalOperatorChain(10.0 * _EYES, "Gt", scalar=1e308), "is not finite"),
+], ids=["n-mismatch", "underflow", "overflow-in-factors", "overflow-in-scalar"])
+def test_rescale_errors_raise_without_warnings(chain, message):
+    """g psi that cannot be rescaled is a ValueError, not a RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            pmax(make_ln(5), chain)

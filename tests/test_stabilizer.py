@@ -128,6 +128,13 @@ def test_phase_search_rejects_nonunit_phase():
         phase_stabilizer_search(make_ln(5), 2.0)
 
 
+@pytest.mark.parametrize("t", [complex("nan"), complex(1, np.nan), complex("inf")])
+def test_phase_search_rejects_non_finite_phase(t):
+    """NaN has no unit modulus either; it must not read as 'no symmetry'."""
+    with pytest.raises(ValueError, match="unit modulus"):
+        phase_stabilizer_search(make_ln(5), t)
+
+
 def test_phase_search_t1_excludes_identity():
     psi = make_ln(5)
     hits = phase_stabilizer_search(psi, 1.0, restarts=8, seed=0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from localsym import (
     find_connector,
     genericity_report,
 )
-from localsym.states import _apply_factors, _pauli_images, _unitary_deviation
+from localsym.states import _apply_factors, _pauli_images, _pauli_tables, _unitary_deviation
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -231,6 +233,27 @@ def test_pauli_images_match_dense_pauli_strings(psi):
     np.testing.assert_array_equal(images[1], dense_pauli_images(1j * amp[::-1]))
 
 
+def _stacked_pauli_images(amp):
+    """The three blocks joined by np.stack, in the operand order of ``_pauli_images``."""
+    index, z, yz = _pauli_tables(amp.shape[-1])
+    x = amp[..., index]
+    images = np.stack([x, yz * x, z * amp[..., None, :]], -2)
+    return images.reshape(amp.shape[:-1] + (-1, amp.shape[-1]))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pauli_images_match_stacked_blocks_bitwise(n):
+    """Writing the blocks into one array changes no bit, also on a (4, 2**n) stack
+    and on signed zeros."""
+    rng = np.random.default_rng(n)
+    amp = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    zeros = np.array([0.0, -0.0, 0.0j, -0.0 - 0.0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+    signed = zeros[rng.integers(0, zeros.size, 2**n)]
+    batch = np.stack([amp, signed, np.where(rng.random(2**n) < 0.5, signed, amp), -amp])
+    for a in (amp, signed, batch):
+        assert _pauli_images(a).tobytes() == _stacked_pauli_images(a).tobytes()
+
+
 def test_apply_diag_on_ghz3():
     chain = LocalOperatorChain(
         np.array([np.diag([2.0, 0.5]), np.eye(2), np.eye(2)], dtype=complex), "G")
@@ -359,6 +382,22 @@ def test_chain_tag_validation():
     with pytest.raises(ValueError):
         LocalOperatorChain(bad, "K")
     LocalOperatorChain(bad, "Gt")  # invertible, fine
+
+
+@pytest.mark.parametrize("tag", ["G", "Gt", "K", "Kt"])
+@pytest.mark.parametrize("bad", ["nan factor", "inf factor", "nan scalar"])
+def test_chain_rejects_non_finite_input(tag, bad):
+    """Rejected before det, which warns on them; NaN would pass every tag test."""
+    factors = sample_chain(3, tag, 0).factors.copy()
+    scalar = 1.0
+    if bad == "nan scalar":
+        scalar = complex("nan")
+    else:
+        factors[1, 0, 1] = np.nan if bad == "nan factor" else np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            LocalOperatorChain(factors, tag, scalar=scalar)
 
 
 _UNIT = make_ln(5)
