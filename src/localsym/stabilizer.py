@@ -181,18 +181,34 @@ def _polish_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray | None,
     return factors, residual
 
 
+def _lift_map() -> np.ndarray:
+    """The constant, read-only (10, 16) map L with 4 q q^T = [1, r.flat] @ L
+    (flattened) for the quaternion q of a rotation r: the formula below is
+    linear in r, so it is evaluated at r = 0 and at the nine unit matrices."""
+    r = np.concatenate([np.zeros((1, 3, 3)), np.eye(9).reshape(9, 3, 3)])
+    tr = np.trace(r, axis1=-2, axis2=-1)
+    qq = np.empty((10, 4, 4))
+    qq[:, 0, 0] = 1 + tr
+    qq[:, 0, 1:] = qq[:, 1:, 0] = (r - r.swapaxes(-1, -2))[:, [2, 0, 1], [1, 2, 0]]
+    qq[:, 1:, 1:] = r + r.swapaxes(-1, -2) + (1 - tr)[:, None, None] * np.eye(3)
+    lift = qq.reshape(10, 16)
+    lift[1:] -= lift[0]
+    lift.setflags(write=False)
+    return lift
+
+
+_LIFT = _lift_map()
+
+
 def _su2_lift(r: np.ndarray) -> np.ndarray:
     """u in SU(2), up to sign, with u sigma_b u^dag = sum_a r[a, b] sigma_a
     for a stack of rotations r: u = q0 I - i q.sigma for the unit
-    quaternion q, read off the column of 4 q q^T (linear in r) with the
-    largest diagonal entry."""
-    tr = np.trace(r, axis1=-2, axis2=-1)
-    qq = np.empty(r.shape[:-2] + (4, 4))
-    qq[..., 0, 0] = 1 + tr
-    qq[..., 0, 1:] = qq[..., 1:, 0] = (r - r.swapaxes(-1, -2))[..., [2, 0, 1], [1, 2, 0]]
-    qq[..., 1:, 1:] = r + r.swapaxes(-1, -2) + (1 - tr)[..., None, None] * np.eye(3)
-    col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1).reshape(-1)
-    q = qq.reshape(-1, 4)[4 * np.arange(col.size) + col].reshape(qq.shape[:-1])  # qq = qq^T
+    quaternion q, read off the column of 4 q q^T = [1, r.flat] @ _LIFT (one
+    product for the whole stack) with the largest diagonal entry."""
+    flat = r.reshape(-1, 9)
+    qq = np.concatenate([np.ones((len(flat), 1)), flat], 1) @ _LIFT
+    col = np.argmax(qq[:, ::5], 1)  # the diagonal of 4 q q^T
+    q = qq.reshape(-1, 4)[4 * np.arange(col.size) + col].reshape(r.shape[:-2] + (4,))
     return _su2(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
@@ -200,15 +216,23 @@ def _critical_angles(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Critical points, and the row of each in row order, of trigonometric polynomials f
     of degree D, a row of samples at 2D + 2 equispaced angles from 0 each: roots
     z = exp(i theta) of z^D f'(theta) from one FFT, all polished by Newton on f'.
-    Outer coefficients of f' below 1e-12 max(1, max|f|), rounding noise that would push
-    roots off the unit circle, are dropped; a row then constant, or left with no
-    angle, gives theta = 0 without np.roots or a Newton step."""
+    Coefficients of f' below 1e-12 max(1, max|f|), rounding noise that would push roots
+    off the unit circle, are zeroed.  When the frequencies left differ by multiples of
+    g > 1 (on L_n, q has period 2 pi / (n - 1), so f' keeps +-(n - 1) and g = 2n - 2),
+    the polynomial is solved in w = z^g and z is every g-th root of w.  A row then
+    constant, or left with no angle, gives theta = 0 without np.roots or a Newton step."""
     k = np.arange(1 - samples.shape[1] // 2, samples.shape[1] // 2)  # -D..D
     d1 = 1j * k * np.fft.fft(samples)[:, k] / samples.shape[1]  # coefficients of f'
-    top = np.max(abs(k) * (abs(d1) >= 1e-12 * np.maximum(1.0, abs(samples).max(1))[:, None]), 1)
-    d1[abs(k) > top[:, None]] = 0
-    z = [np.roots(d1[r, abs(k) <= top[r]][::-1]) for r in np.flatnonzero(top)]
-    row, z = np.repeat(np.flatnonzero(top), [len(c) for c in z]), np.concatenate([[], *z])
+    d1[abs(d1) < 1e-12 * np.maximum(1.0, abs(samples).max(1))[:, None]] = 0
+    z, row = [np.empty(0)], [np.empty(0, dtype=int)]
+    for r, d in enumerate(d1):
+        live = np.flatnonzero(d)
+        if live.size > 1:
+            g = np.gcd.reduce(live - live[0])
+            w = np.roots(d[live[0]:live[-1] + 1:g][::-1])
+            z.append((w[:, None] ** (1 / g) * np.exp(2j * np.pi * np.arange(g) / g)).ravel())
+            row.append(np.full(z[-1].size, r))
+    z, row = np.concatenate(z), np.concatenate(row)
     ring = abs(abs(z) - 1.0) < _ROOT_RING
     theta, row = np.angle(z[ring]), row[ring]
     coef, dk = d1[row], 1j * k
@@ -232,10 +256,13 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     T_1k(psi)^-T.  Exact path: P is one of the 4 sign diagonals of determinant
     det(A A'); for target psi, det = 1 and P = I gives every R_k = I, the
     identity row, so the other 3.  Circle path: P = diag(eps, O(theta)) on the
-    repeated plane, eps = +-1, and R_k is affine in (cos theta, sin theta),
-    so h = sum_k ||R_k^T R_k - I||^2 (zero at a symmetry) and, if h = 0,
-    q = |<target|u psi>|^2 (one at a symmetry) have degree D = max(n, 4):
-    the rows are their critical points.  Random row r: derive_rng(seed, r).
+    repeated plane, eps = +-1, so P = eps E_mm + cos theta (E_ii + f E_jj) +
+    sin theta (E_ji - f E_ij) with f = eps det, and the rotations, linear in P,
+    are rotations() of those five unit matrices taken once: every row is one
+    (rows, 5) @ (5, 9n) product.  h = sum_k ||R_k^T R_k - I||^2 (zero at a
+    symmetry) and, if h = 0, q = |<target|u psi>|^2 (one at a symmetry) have
+    degree D = max(n, 4): the rows are their critical points.  Random row r:
+    derive_rng(seed, r).
     """
     src = _correlations(psi.pauli_gram)
     a, s, _ = np.linalg.svd(src)  # of every T_1k; T_12 is index 0
@@ -258,16 +285,17 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
         signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])[target is psi:]
         return _su2_lift(rotations(det * signs[..., None] * np.eye(3))), path
     i, j, m = (0, 1, 2) if s[0] - s[1] < s[1] - s[2] else (1, 2, 0)  # i, j: the plane
+    basis = np.zeros((5, 3, 3))
+    basis[range(5), [m, i, j, j, i], [m, i, j, i, j]] = 1.0  # E_mm, E_ii, E_jj, E_ji, E_ij
+    basis = rotations(basis).reshape(5, -1)
 
     def circle(theta: np.ndarray, eps: np.ndarray) -> np.ndarray:
         c, sn, flip = np.cos(theta), np.sin(theta), eps * det  # flip -1: a reflection
-        p = np.zeros((theta.size, 3, 3))
-        p[:, [m, i, j, i, j], [m, i, i, j, j]] = np.stack([eps, c, sn, -sn * flip, c * flip], 1)
-        return rotations(p)
+        return (np.stack([eps, c, c * flip, sn, -sn * flip], 1) @ basis).reshape(-1, psi.n, 3, 3)
 
     size = 2 * max(psi.n, 4) + 2
     r = circle(np.tile(2 * np.pi * np.arange(size) / size, 2), np.repeat([1.0, -1.0], size))
-    h = np.sum(abs(r.swapaxes(-1, -2) @ r - np.eye(3)) ** 2, axis=(1, 2, 3))
+    h = np.sum((np.einsum("rkab,rkac->rkbc", r, r) - np.eye(3)) ** 2, axis=(1, 2, 3))
     q = abs(_apply_factors(_su2_lift(r), psi.amplitudes) @ target.amplitudes.conj()) ** 2
     q = q / (psi.norm() * target.norm()) ** 2
     f = np.stack([h, q]).reshape(2, 2, -1)  # f, eps, theta

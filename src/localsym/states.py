@@ -136,11 +136,11 @@ class LocalOperatorChain:
         if not (np.isfinite(fac).all() and cmath.isfinite(complex(self.scalar))):
             raise ValueError("factors and scalar must be finite")
         dets = np.linalg.det(fac)
-        sq_norms = np.einsum("kij,kij->k", fac, fac.conj()).real
         if self.group_tag == "G":
             if np.max(np.abs(dets - 1.0)) > _DET_TOL:
                 raise ValueError("tag G requires unit-determinant factors")
         elif self.group_tag == "Gt":
+            sq_norms = np.einsum("kij,kij->k", fac, fac.conj()).real
             if np.min(np.abs(dets)) < _DET_TOL * np.max(sq_norms):
                 raise ValueError("tag Gt requires invertible factors")
         if self.group_tag in ("K", "Kt"):
@@ -218,9 +218,9 @@ def make_gabcd(a: complex, b: complex, c: complex, d: complex,
     amp[0b0011] = amp[0b1100] = b
     amp[0b0101] = amp[0b1010] = c
     amp[0b0110] = amp[0b1001] = d
-    if normalized:
-        amp /= np.linalg.norm(amp)
-    return PureState(4, amp)
+    psi = PureState(4, amp)
+    # largest modulus first: squares of 1e300 overflow, those of 1e-170 underflow
+    return psi.normalized() if normalized else psi
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,9 @@ def reduced_density(psi: PureState, k: int) -> np.ndarray:
 
 
 def fidelity(psi: PureState, phi: PureState) -> float:
-    """|<psi|phi>|^2 / (||psi||^2 ||phi||^2)."""
+    """|<psi|phi>|^2 / (||psi||^2 ||phi||^2); undefined for a zero-norm state."""
+    if psi.norm() == 0.0 or phi.norm() == 0.0:
+        raise ValueError("fidelity needs two states of nonzero norm")
     ov = np.vdot(psi.amplitudes, phi.amplitudes)
     return abs(ov) ** 2 / (psi.norm() ** 2 * phi.norm() ** 2)
 

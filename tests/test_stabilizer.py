@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -382,9 +384,9 @@ def test_su2_lift_conjugates_paulis_by_the_rotation():
     assert np.max(abs(moved - np.einsum("rab,aij->rbij", rot, _PAULIS))) < 1e-12
 
 
-def take_along_axis_lift(r):
-    """``_su2_lift`` picking the column of 4 q q^T with np.take_along_axis: the
-    reference for its one flat index (a row, equal as 4 q q^T is symmetric)."""
+def _reference_su2_lift(r):
+    """``_su2_lift`` before the map _LIFT: 4 q q^T written out entry by entry from
+    r, its column picked with np.take_along_axis."""
     tr = np.trace(r, axis1=-2, axis2=-1)
     qq = np.empty(r.shape[:-2] + (4, 4))
     qq[..., 0, 0] = 1 + tr
@@ -395,14 +397,40 @@ def take_along_axis_lift(r):
     return _su2(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
-def test_su2_lift_matches_take_along_axis_reference():
-    """Bitwise, on rotations, on the half-turns and I, in a (rows, n) stack as
-    _starts lifts them, and on non-orthogonal matrices, which the circle path
-    lifts too."""
+def take_along_axis_lift(r):
+    """``_su2_lift`` picking the column of 4 q q^T = [1, r.flat] @ _LIFT with
+    np.take_along_axis: the reference for its one flat index (a row, equal as
+    4 q q^T is symmetric)."""
+    flat = r.reshape(-1, 9)
+    qq = np.concatenate([np.ones((len(flat), 1)), flat], 1) @ stabilizer._LIFT
+    qq = qq.reshape(r.shape[:-2] + (4, 4))
+    col = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), -1)[..., None, None]
+    q = np.take_along_axis(qq, col, -1)[..., 0]
+    return _su2(q / np.linalg.norm(q, axis=-1, keepdims=True))
+
+
+def lift_inputs():
+    """Rotations, the half-turns and I, a (rows, n) stack as _starts lifts them,
+    and non-orthogonal matrices, which the circle path lifts too."""
     rot = lift_rotations()
     skew = np.random.default_rng(1).standard_normal((100, 3, 3))
-    for r in (rot[:200], rot[200:], rot[:200].reshape(50, 4, 3, 3), skew):
+    return rot[:200], rot[200:], rot[:200].reshape(50, 4, 3, 3), skew
+
+
+def test_su2_lift_matches_take_along_axis_reference():
+    """Bitwise, on every input of ``lift_inputs``."""
+    for r in lift_inputs():
         assert _su2_lift(r).tobytes() == take_along_axis_lift(r).tobytes()
+
+
+def test_su2_lift_matches_the_entrywise_reference():
+    """The map _LIFT gives the lift of the entrywise formula, up to the lift's
+    sign and rounding, and it is read-only."""
+    for r in lift_inputs():
+        u, ref = _su2_lift(r), _reference_su2_lift(r)
+        assert u.shape == ref.shape
+        assert np.max(_chain_distance(u[..., None, :, :], ref[..., None, :, :])) <= 1e-15
+    assert stabilizer._LIFT.shape == (10, 16) and not stabilizer._LIFT.flags.writeable
 
 
 def analytic_hits(n, t):
@@ -560,6 +588,40 @@ def test_critical_angles_of_degree_deficient_polynomials(size_degree):
         assert np.max(np.min(gaps, axis=0)) < 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda g: st.tuples(st.just(g), st.integers(g, 8))),
+       st.integers(0, 2**32 - 1))
+def test_critical_angles_of_sparse_frequencies(g_degree, seed):
+    """f of degree D <= 8 with frequencies in g Z only, plus 1e-17 noise: the
+    noise coefficients are zeroed, so f' is solved in w = z^g (or z^2g), and the
+    angles are still the critical points of f, the np.roots angles of the whole
+    cleaned polynomial in z."""
+    g, degree = g_degree
+    rng = np.random.default_rng(seed)
+    coef = np.zeros(2 * degree + 1, dtype=complex)
+    freq = np.arange(g, degree + 1, g)
+    coef[degree + freq] = rng.standard_normal(freq.size) + 1j * rng.standard_normal(freq.size)
+    coef[degree - freq] = coef[degree + freq].conj()
+    coef[degree] = rng.standard_normal()
+    size = 2 * degree + 2
+    samples = trig_poly(coef, 2 * np.pi * np.arange(size) / size)
+    samples += 1e-17 * rng.standard_normal(size)
+    theta = _critical_angles(samples[None])[0]
+    scale = np.abs(coef).sum() * degree
+    assert np.all(abs(trig_poly(coef, theta, 1)) < 1e-12 * scale)
+    grid = np.linspace(-np.pi, np.pi, 20001)
+    for lo in np.nonzero(np.diff(np.sign(trig_poly(coef, grid, 1))))[0]:
+        assert np.any((np.mod(theta - grid[lo], 2 * np.pi) <= grid[1] - grid[0]))
+    k = np.arange(-degree, degree + 1)
+    d1 = 1j * k * np.fft.fft(samples)[k] / size
+    d1[abs(d1) < 1e-12 * max(1.0, abs(samples).max())] = 0
+    z = np.roots(np.trim_zeros(d1)[::-1])
+    expected = np.angle(z[abs(abs(z) - 1) < 1e-3])
+    assert theta.size == expected.size
+    gaps = abs(np.angle(np.exp(1j * (theta[:, None] - expected))))
+    assert np.max(np.min(gaps, axis=0)) < 1e-12 and np.max(np.min(gaps, axis=1)) < 1e-12
+
+
 def test_critical_angles_of_a_constant():
     assert _critical_angles(np.zeros((1, 10)))[0].tolist() == [0.0]
     theta = _critical_angles(np.full((1, 10), 0.7))[0]
@@ -589,6 +651,32 @@ def test_probe_computes_correlations_once(monkeypatch):
     monkeypatch.setattr(stabilizer, "_correlations", lambda *a: calls.append(1) or tensors(*a))
     assert gtilde_triviality_probe(make_ln(5)).probe.start_path == "pair_circle"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_circle_starts_lift_twice_and_solve_in_the_period(n, monkeypatch):
+    """On L_n the circle path maps its five basis matrices to rotations once,
+    lifts the sample rows and the final rows once each, and solves q' in
+    w = z^(2n - 2): no polynomial above degree 2 reaches np.roots."""
+    lifts, degrees, rotations = [], [], []
+    lift, roots = stabilizer._su2_lift, np.roots
+    monkeypatch.setattr(stabilizer, "_su2_lift", lambda r: lifts.append(1) or lift(r))
+    monkeypatch.setattr(np, "roots", lambda p: degrees.append(len(p) - 1) or roots(p))
+
+    def count(frame, event, arg):  # rotations is local to _starts: count its frames
+        code = frame.f_code
+        if (event, code.co_name, code.co_filename) == ("call", "rotations", stabilizer.__file__):
+            rotations.append(1)
+
+    psi = make_ln(n)
+    sys.setprofile(count)
+    try:
+        start, path = _starts(psi, psi, 32, 0, True)
+    finally:
+        sys.setprofile(None)
+    assert path == "pair_circle" and len(start) == 2 * n + 1
+    assert (len(lifts), len(rotations)) == (2, 1)
+    assert degrees and max(degrees) <= 2
 
 
 @pytest.mark.parametrize("index", range(10))

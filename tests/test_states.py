@@ -173,6 +173,20 @@ def test_gabcd_rejects_zero():
         make_gabcd(0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("coeffs,scale", [((1e300, 2e300, 3e300, 1e300), 1e300),
+                                          ((1e-170, 0, 0, 0), 1e-170),
+                                          ((1e308, 1e308, -1e308, 1e308), 1e308)])
+def test_gabcd_normalizes_extreme_coefficients(coeffs, scale):
+    """The norm's squares would overflow (1e300) or underflow (1e-170): the
+    state is the unit-norm one of the rescaled coefficients, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = make_gabcd(*coeffs)
+    expected = make_gabcd(*(c / scale for c in coeffs)).amplitudes
+    assert abs(psi.norm() - 1) <= 1e-15
+    np.testing.assert_allclose(psi.amplitudes, expected, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("maker", [make_w, make_ln, make_ghz])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_constructors_normalize(maker, n):
@@ -319,6 +333,15 @@ def test_haar_states_differ_across_seeds():
     a = sample_haar_state(5, 1)
     b = sample_haar_state(5, 2)
     assert fidelity(a, b) < 0.99
+
+
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_fidelity_rejects_a_zero_norm_state(zero_first):
+    zero, unit = PureState(2, np.zeros(4)), make_ghz(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonzero norm"):
+            fidelity(*((zero, unit) if zero_first else (unit, zero)))
 
 
 def test_haar_state_normalized():
