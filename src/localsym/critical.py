@@ -17,9 +17,14 @@ one qubit, read its density [[a, c], [c*, b]] as the moments of one 2x2
 Gram matrix (``states._moments``) and roll the next qubit into the rows,
 by ``t.T.reshape(2, -1)`` or, with a factor, by ``states._apply_next``.
 Deviation from I/2 and flattening factor are closed forms in the
-moments, so no eigensolver runs; the convergence check stops at the
-first qubit outside tolerance.  The Newton step reads its gradient and
-Hessian off ``states._pauli_images``, as do the Lie probe and the T_1k.
+moments, so no eigensolver runs; outside the Newton range the convergence
+check stops at the first qubit outside tolerance.  In the Newton range one
+gather of ``states._pauli_images`` per iterate gives its Gram matrix C, its
+Bloch vectors and ||t||**2 = C[0, 0]: the check reads every qubit's
+deviation off the Bloch vectors, the Newton step its gradient and Hessian,
+the trajectory the entry sqrt(C[0, 0]), and a converged representative
+keeps C / ||t||**2 as its ``pauli_gram``, which the Lie probe and the T_1k
+read.
 """
 
 from __future__ import annotations
@@ -115,23 +120,35 @@ def _flattening_factor(a: float, b: float, c: complex) -> np.ndarray | None:
                      [-c.conjugate() * scale, (a + root) * scale]])
 
 
-def _newton_factors(t: np.ndarray, sq_norm: float) -> np.ndarray | None:
+def _gram_and_bloch(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(C / ||t||**2, r, ||t||**2) from one gather of the Pauli images P of the
+    amplitudes t: the read-only Gram matrix C = Re P P^T over ||t||**2, the Bloch
+    vectors r = Re P t* / ||t||**2 (row 3k + a is <sigma_a on qubit k>) and
+    ||t||**2 = C[0, 0], as sigma_x is unitary."""
+    flat = t.reshape(-1)
+    images = _pauli_images(flat).view(float)
+    gram = images @ images.T
+    sq_norm = gram[0, 0]
+    unit_gram = gram / sq_norm
+    unit_gram.setflags(write=False)
+    return unit_gram, images @ flat.view(float) / sq_norm, float(sq_norm)
+
+
+def _newton_factors(gram: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     """The factors of E(x) = (x)_k exp(x_k . sigma / 2) for a Newton step x on
-    log ||E(x) phi||**2 at phi = t, of squared norm sq_norm; None if the
-    solve fails or is not finite.
+    log ||E(x) phi||**2, from the Gram matrix and Bloch vectors of phi that
+    ``_gram_and_bloch`` returns; None if the solve fails or is not finite.
 
     The gradient is the Bloch vectors r_ka = <sigma_a on qubit k> and the
     Hessian H = C - r r^T, for C the real Gram matrix of the 3n Pauli images
-    (I_3 blocks on its diagonal, the correlation tensors T_jk off it).  The
-    step x = -H^-1 r is scaled to max_k |x_k| <= 1, so no factor overflows
-    near the null cone, where H turns singular.  Each factor
+    over ||phi||**2 (I_3 blocks on its diagonal, the correlation tensors T_jk
+    off it).  The step x = -H^-1 r is scaled to max_k |x_k| <= 1, so no factor
+    overflows near the null cone, where H turns singular.  Each factor
     cosh(|x_k|/2) I + sinh(|x_k|/2) x_k . sigma / |x_k| is Hermitian,
     positive and of determinant one.
     """
-    images = _pauli_images(t.reshape(-1)).view(float)
-    r = images @ t.reshape(-1).view(float) / sq_norm
     try:
-        x = np.linalg.solve(images @ images.T / sq_norm - r[:, None] * r, -r).reshape(-1, 3)
+        x = np.linalg.solve(gram - r[:, None] * r, -r).reshape(-1, 3)
     except np.linalg.LinAlgError:
         return None
     length = np.hypot(np.hypot(x[:, 0], x[:, 1]), x[:, 2])  # no squares to overflow
@@ -159,16 +176,20 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     density per step with qubits taken cyclically.  Both land on the same
     unitary orbit with the same minimal norm, but not on the same point of
     it.  Convergence is declared when all reductions of the running state,
-    taken at unit trace, are within ``tol`` of I/2 in Frobenius norm, checked
-    from qubit 0 (whose moments the sweep's first step and the Newton step
-    reuse) to the first that is not.  The trajectory holds the unit-norm
-    check's norm, then one norm per iteration, the Newton acceptance test's
-    or the sweep's.  A run whose norm falls below 1e-6 of the initial norm,
-    or whose sweep hits a numerically singular reduced density, is declared
-    ``null_cone``.  Each factor is applied by ``states._apply_next``, one
-    matmul that also rolls the next qubit into the rows; an iteration's
-    factors enter the chain in one batched matmul, at a null-cone exit within
-    a sweep only those already applied.
+    taken at unit trace, are within ``tol`` of I/2 in Frobenius norm: in the
+    Newton range |r_k| / sqrt(2) for the Bloch vectors r of the iterate's one
+    gather (``_gram_and_bloch``), whose Gram matrix a converged representative
+    keeps as its ``pauli_gram``; outside it checked from qubit 0 (whose
+    moments the sweep's first step reuses) to the first that is not.  The
+    trajectory holds the unit-norm check's norm, then one norm per iteration:
+    the sweep's, or an accepted Newton step's sqrt(C[0, 0]) from the gather
+    of the stepped iterate, which the acceptance test and the next check read.
+    A run whose norm falls below 1e-6 of the initial norm, or whose sweep hits
+    a numerically singular reduced density, is declared ``null_cone``.  Each
+    factor is applied by ``states._apply_next``, one product that also rolls
+    the next qubit into the rows; an iteration's factors enter the chain in
+    one batched matmul, at a null-cone exit within a sweep only those already
+    applied.
     """
     if not 0 < tol < math.inf:  # also true for nan
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -176,40 +197,51 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     initial_norm = _require_normalized(psi)
     n = psi.n
+    newton_range = _NEWTON_MIN_QUBITS <= n <= _NEWTON_MAX_QUBITS
     t = psi.amplitudes.reshape(2, -1)
     acc = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
     steps = np.empty_like(acc)
     trajectory = [initial_norm]
+    gathered = None  # in the Newton range, _gram_and_bloch of t
 
     def finish(status, iterations):
         chain = LocalOperatorChain(acc, "G")
         if status == "converged":
             nrm = np.linalg.norm(t)
             rep, scalar = PureState(n, t.reshape(-1) / nrm), 1.0 / nrm
+            if gathered is not None:  # the Lie gate, _starts and find_connector read it
+                vars(rep)["pauli_gram"] = gathered[0]
         else:
             rep, scalar = None, 1.0 + 0j
         return ScalingResult(rep, chain, complex(scalar), iterations, status, trajectory)
 
     for it in range(max_iter + 1):
-        devs = _deviations(t, n)
-        first, dev = next(devs)
-        if dev <= tol and all(d <= tol for _, d in devs):
+        if newton_range:
+            gathered = gathered or _gram_and_bloch(t)
+            # ||rho_k - I/2||_F = |r_k| / sqrt(2) for rho_k = (I + r_k . sigma) / 2
+            sq_bloch = (gathered[1] * gathered[1]).reshape(-1, 3).sum(1)
+            converged = math.sqrt(0.5 * sq_bloch.max()) <= tol
+        else:
+            devs = _deviations(t, n)
+            first, dev = next(devs)
+            converged = dev <= tol and all(d <= tol for _, d in devs)
+        if converged:
             return finish("converged", it)
         if it == max_iter:
             return finish("max_iter", it)
-        newton = None
-        if _NEWTON_MIN_QUBITS <= n <= _NEWTON_MAX_QUBITS:
-            newton = _newton_factors(t, first[0] + first[1])
+        newton = _newton_factors(*gathered[:2]) if newton_range else None
+        gathered = None
         if newton is not None:
             u = _apply_factors(newton, t.reshape(-1)).reshape(2, -1)
-            if (nrm := np.linalg.norm(u)) <= trajectory[-1] * (1 + _NEWTON_NORM_SLACK):
-                t, steps[:] = u, newton
+            stepped = _gram_and_bloch(u)
+            if (nrm := math.sqrt(stepped[2])) <= trajectory[-1] * (1 + _NEWTON_NORM_SLACK):
+                t, steps[:], gathered = u, newton, stepped
             else:
                 newton = None
         if newton is None:
             for k in range(n):
-                # qubit 0 still sees the state the convergence check saw
-                g = _flattening_factor(*(first if k == 0 else _moments(t)))
+                # outside the Newton range qubit 0 still sees the state the check saw
+                g = _flattening_factor(*(first if k == 0 and not newton_range else _moments(t)))
                 if g is None:
                     acc[:k] = steps[:k] @ acc[:k]
                     return finish("null_cone", it)

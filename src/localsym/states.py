@@ -7,9 +7,11 @@ Conventions used throughout the package:
 * Qubit indices in the public API are 1-based (1..n).
 * A local operator chain g = g_1 (x) ... (x) g_n is one (n, 2, 2) stack
   of 2x2 matrices; the full 2**n x 2**n matrix is never materialized.
-* ``_apply_next``, one matmul that also rolls the next qubit into the rows,
-  applies every 2x2 factor; one gather of Pauli images (``_pauli_images``)
-  gives, by their Gram matrix, the Lie spectrum, the T_1k and the Newton Hessian.
+* ``_apply_next``, one matmul that also rolls the next qubit into the rows (a
+  plain 2-D ``np.dot`` for one factor on one state), applies every 2x2 factor;
+  one gather of Pauli images (``_pauli_images``) gives, by their Gram matrix,
+  the Lie spectrum, the T_1k and the Newton Hessian, and with the state the
+  Bloch vectors of the Newton-range convergence check.
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ def _unitary_deviation(factors: np.ndarray) -> float:
 
 def _vector_norm(amp: np.ndarray) -> float:
     """||amp||, divided by the largest modulus first: squares of amplitudes near
-    1e300 would overflow.  Non-finite input returns that modulus, inf or nan."""
+    1e300 would overflow.  Non-finite input returns that modulus, inf or nan; a
+    finite vector whose norm exceeds the largest float returns inf, with no warning."""
     big = np.max(np.abs(amp))
-    return float(big * np.linalg.norm(amp / big)) if 0.0 < big < np.inf else float(big)
+    # Python floats: a product past the largest float is inf, where numpy's warns
+    return float(big) * float(np.linalg.norm(amp / big)) if 0.0 < big < np.inf else float(big)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +233,10 @@ def make_gabcd(a: complex, b: complex, c: complex, d: complex,
 
 def _apply_next(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     """g (..., 2, 2) applied to the qubit in the rows of t (..., 2, m), rolling the next
-    qubit into the rows (n calls go round once); leading axes broadcast."""
+    qubit into the rows (n calls go round once); leading axes broadcast.  One factor on
+    one state is a plain 2-D ``np.dot``, bitwise equal to the stacked matmul."""
+    if g.ndim == t.ndim == 2:
+        return np.dot(t.T, g.T).reshape(2, -1)
     out = t.swapaxes(-1, -2) @ g.swapaxes(-1, -2)
     return out.reshape(out.shape[:-2] + (2, -1))
 
@@ -239,7 +246,8 @@ def _apply_factors(factors: np.ndarray, amp: np.ndarray) -> np.ndarray:
     by one ``_apply_next`` per qubit; leading axes broadcast as rows."""
     t = amp.reshape(amp.shape[:-1] + (2, -1))
     for k in range(factors.shape[-3]):
-        t = _apply_next(factors[..., k, :, :], t)
+        # one (n, 2, 2) chain: factors[k], cheaper than the ellipsis index a stack needs
+        t = _apply_next(factors[k] if factors.ndim == 3 else factors[..., k, :, :], t)
     return t.reshape(t.shape[:-2] + (-1,))
 
 
@@ -316,11 +324,14 @@ def reduced_density(psi: PureState, k: int) -> np.ndarray:
 
 
 def fidelity(psi: PureState, phi: PureState) -> float:
-    """|<psi|phi>|^2 / (||psi||^2 ||phi||^2); undefined for a zero-norm state."""
+    """|<psi|phi>|^2 / (||psi||^2 ||phi||^2); undefined for a zero-norm state.
+
+    Each state is divided by its largest modulus first, so norms near 1e-160
+    or 1e300, whose squares would underflow or overflow, give the same value."""
     if psi.norm() == 0.0 or phi.norm() == 0.0:
         raise ValueError("fidelity needs two states of nonzero norm")
-    ov = np.vdot(psi.amplitudes, phi.amplitudes)
-    return abs(ov) ** 2 / (psi.norm() ** 2 * phi.norm() ** 2)
+    a, b = (s.amplitudes / np.max(np.abs(s.amplitudes)) for s in (psi, phi))
+    return abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
 
 
 # ---------------------------------------------------------------------------

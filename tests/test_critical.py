@@ -15,7 +15,8 @@ from localsym import (
     make_w,
     sample_haar_state,
 )
-from localsym.critical import _flattening_factor, _newton_factors
+from localsym import critical
+from localsym.critical import _flattening_factor, _gram_and_bloch, _newton_factors
 from localsym.states import _moments, _pauli_tables
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
@@ -252,58 +253,66 @@ def test_scaling_matches_flat_vector_reference(case):
 
 
 def eager_scaling(psi, tol, max_iter, newton=True):
-    """``scale_to_critical`` with an eager convergence check, all n deviations
-    every iteration, in the same float operations; newton=False gives the
-    sweep-only loop for every n: (status, iterations, trajectory, chain,
-    representative, scalar)."""
+    """``scale_to_critical`` with an eager convergence check in the same float
+    operations: all n deviations of every iterate, for 4 <= n <= 8 from the Bloch
+    vectors of a fresh ``_gram_and_bloch`` (no gather carried over), else from the
+    moments; newton=False gives the sweep-only loop for every n: (status,
+    iterations, trajectory, chain, representative, scalar, the representative's
+    Gram matrix or None if it is left to be computed)."""
     n, t = psi.n, psi.amplitudes.reshape(2, -1)
+    newton = newton and 4 <= n <= 8
     acc = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
     steps = np.empty_like(acc)
     trajectory = [psi.norm()]
 
     def finish(status, iterations):
         if status != "converged":
-            return status, iterations, trajectory, acc, None, 1.0 + 0j
+            return status, iterations, trajectory, acc, None, 1.0 + 0j, None
         nrm = np.linalg.norm(t)
-        return status, iterations, trajectory, acc, t.reshape(-1) / nrm, complex(1.0 / nrm)
+        return (status, iterations, trajectory, acc, t.reshape(-1) / nrm, complex(1.0 / nrm),
+                gram if newton else None)
 
     for it in range(max_iter + 1):
-        moments, u = [], t
-        for _ in range(n):
-            moments.append(_moments(u))
-            u = u.T.reshape(2, -1)
-        if max(math.sqrt(0.5 * (a - b) ** 2 + 2 * abs(c) ** 2) / (a + b)
-               for a, b, c in moments) <= tol:
+        if newton:
+            gram, r, _ = _gram_and_bloch(t)
+            devs = [math.sqrt(0.5 * np.sum(rk * rk)) for rk in r.reshape(n, 3)]
+        else:
+            devs, u = [], t
+            for _ in range(n):
+                a, b, c = _moments(u)
+                devs.append(math.sqrt(0.5 * (a - b) ** 2 + 2 * abs(c) ** 2) / (a + b))
+                u = u.T.reshape(2, -1)
+        if max(devs) <= tol:
             return finish("converged", it)
         if it == max_iter:
             return finish("max_iter", it)
-        factors = None
-        if newton and 4 <= n <= 8:
-            factors = _newton_factors(t, moments[0][0] + moments[0][1])
+        factors = _newton_factors(gram, r) if newton else None
         if factors is not None:
             u = t
             for g in factors:
                 u = (u.T @ g.T).reshape(2, -1)
-            if np.linalg.norm(u) <= trajectory[-1] * (1 + 1e-14):
+            nrm = math.sqrt(_gram_and_bloch(u)[2])
+            if nrm <= trajectory[-1] * (1 + 1e-14):
                 t, steps[:] = u, factors
             else:
                 factors = None
         if factors is None:
             for k in range(n):
-                g = _flattening_factor(*(moments[0] if k == 0 else _moments(t)))
+                g = _flattening_factor(*_moments(t))
                 if g is None:
                     acc[:k] = steps[:k] @ acc[:k]
                     return finish("null_cone", it)
                 steps[k] = g
                 t = (t.T @ g.T).reshape(2, -1)
+            nrm = float(np.linalg.norm(t))
         acc = steps @ acc
-        trajectory.append(float(np.linalg.norm(t)))
+        trajectory.append(nrm)
         if trajectory[-1] < 1e-6 * trajectory[0]:
             return finish("null_cone", it + 1)
 
 
 def assert_bitwise(result, expected):
-    status, iterations, trajectory, chain, rep, scalar = expected
+    status, iterations, trajectory, chain, rep, scalar, gram = expected
     assert (result.status, result.iterations, result.scalar) == (status, iterations, scalar)
     assert result.norm_trajectory == trajectory
     assert result.accumulated_chain.factors.tobytes() == chain.tobytes()
@@ -311,14 +320,22 @@ def assert_bitwise(result, expected):
         assert result.representative is None
     else:
         assert result.representative.amplitudes.tobytes() == rep.tobytes()
+        if gram is not None:  # seeded by the scaling, not computed from the amplitudes
+            seeded = vars(result.representative)["pauli_gram"]
+            assert seeded.tobytes() == gram.tobytes() and not seeded.flags.writeable
+        else:
+            assert "pauli_gram" not in vars(result.representative)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.builds(sample_haar_state, st.integers(1, 10), st.integers(0, 2**32 - 1)),
        st.sampled_from([1e-10, 1e-11]), st.sampled_from([0, 1, 10_000]))
-# flat on qubits 0 and 1 only: a check that skips the last qubit converges at once
+# flat on all qubits but the last: a check that skips it converges at once
 @example(PureState(3, np.kron(make_ln(2).amplitudes, [0.6, 0.8])), 1e-11, 10_000)
+@example(PureState(5, np.kron(make_ln(4).amplitudes, [0.6, 0.8])), 1e-11, 10_000)
 def test_lazy_convergence_check_is_bitwise_eager(psi, tol, max_iter):
+    """The lazy check, and in the Newton range the gather carried from the step's
+    acceptance test into the next check, change no bit."""
     result = scale_to_critical(psi, tol=tol, max_iter=max_iter)
     assert_bitwise(result, eager_scaling(psi, tol, max_iter))
 
@@ -352,7 +369,7 @@ def test_newton_steps_reach_the_sweep_orbit(n, seed, tol):
     it does not exhaust, so it is never compared while unfinished."""
     psi = sample_haar_state(n, seed)
     result = scale_to_critical(psi, tol=tol)
-    status, _, _, _, rep, scalar = eager_scaling(psi, tol, 100_000, newton=False)
+    status, _, _, _, rep, scalar, _ = eager_scaling(psi, tol, 100_000, newton=False)
     assert status != "max_iter"
     assert result.status == status
     assert abs(result.scalar - scalar) <= 1e-12 * abs(scalar)
@@ -420,6 +437,30 @@ def test_scaling_builds_pauli_tables_once():
         assert result.status == "converged" and result.iterations >= 3
         _pauli_tables(2**n)  # a hit: the one table built is this size's
         assert _pauli_tables.cache_info()[1:] == (1, 8, 1)  # misses, maxsize, currsize
+    # a critical input: the Newton range's first check gathers, a sweep-range one does not
     _pauli_tables.cache_clear()
     assert scale_to_critical(make_ln(5)).iterations == 0
+    _pauli_tables(32)
+    assert _pauli_tables.cache_info()[1:] == (1, 8, 1)
+    _pauli_tables.cache_clear()
+    assert scale_to_critical(make_ghz(3)).iterations == 0
+    assert scale_to_critical(make_ln(9)).iterations == 0
     assert _pauli_tables.cache_info().misses == 0
+
+
+def test_newton_range_scaling_gathers_once_per_checked_iterate(monkeypatch):
+    """Counts, not timings: with every step a Newton step (no sweep reads a
+    moment), each iterate the check reads is gathered once, at the step's
+    acceptance test or, for the input, at the first check; max_iter exits too."""
+    gathered, moments = [], []
+    images, kernel = critical._pauli_images, critical._moments
+    monkeypatch.setattr(critical, "_pauli_images", lambda a: gathered.append(1) or images(a))
+    monkeypatch.setattr(critical, "_moments", lambda t: moments.append(1) or kernel(t))
+    for n in range(4, 9):
+        for seed in range(4):
+            for max_iter in (10_000, 2):
+                gathered.clear()
+                result = scale_to_critical(sample_haar_state(n, seed), tol=1e-11,
+                                           max_iter=max_iter)
+                assert result.status in ("converged", "max_iter") and moments == []
+                assert len(gathered) == result.iterations + 1

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -252,9 +253,10 @@ def test_search_preconditions_compute_reductions_once(monkeypatch):
         gabcd, restarts=1)) == 4
     assert count_moments(monkeypatch, lambda: phase_stabilizer_search(
         l5, 1j, restarts=1)) == 5
-    # L5 is critical, so scaling stops at its first check and nothing re-checks it
+    # L5 is critical, so scaling stops at its first check and nothing re-checks it;
+    # in the Newton range that check reads the gathered Bloch vectors, no moments
     assert count_moments(monkeypatch, lambda: gtilde_triviality_probe(
-        l5, restarts=1)) == 5
+        l5, restarts=1)) == 0
 
 
 def probe_outcome(psi):
@@ -796,12 +798,14 @@ def test_lie_probe_falls_back_to_the_svd(psi, expected, monkeypatch):
 
 
 def test_search_call_counts(monkeypatch):
-    """Counts, not timings: a probe gathers its representative's Pauli images
-    once, as the Lie gate and the starts share their Gram matrix, and _align
-    applies its start rows once (test_circle_rows_start_on_their_hits pins
-    that no L_n row is polished)."""
+    """Counts, not timings: a probe never gathers its representative's Pauli
+    images, as the Lie gate and the starts read the Gram matrix the scaling
+    seeded, and _align applies its start rows once
+    (test_circle_rows_start_on_their_hits pins that no L_n row is polished)."""
     gathered = []
-    for module in (states, stabilizer, critical):
+    # past the scaling: a critical input's first check gathers t, which may equal
+    # the representative bit for bit (gabcd does)
+    for module in (states, stabilizer):
         monkeypatch.setattr(module, "_pauli_images",
                             lambda a, *rest, f=module._pauli_images:
                             gathered.append(a.copy()) or f(a, *rest))
@@ -809,8 +813,8 @@ def test_search_call_counts(monkeypatch):
                 sample_haar_state(6, 1)):
         gathered.clear()
         rep = gtilde_triviality_probe(psi).representative
-        assert sum(a.shape == rep.amplitudes.shape and np.array_equal(a, rep.amplitudes)
-                   for a in gathered) == 1
+        assert not any(a.shape == rep.amplitudes.shape and np.array_equal(a, rep.amplitudes)
+                       for a in gathered)
     starts, applied = [], []
     start_fn, apply_fn = stabilizer._starts, stabilizer._apply_factors
     monkeypatch.setattr(stabilizer, "_starts",
@@ -825,6 +829,44 @@ def test_search_call_counts(monkeypatch):
         start = starts[0][0]  # a factor 0 may come back negated
         assert sum(f.shape == start.shape and np.array_equal(abs(f), abs(start))
                    for f in applied) == 1
+
+
+def fresh_representative(monkeypatch):
+    """Make the probe's representative a new state of the same amplitudes, whose
+    Gram matrix is computed from them instead of seeded by the scaling."""
+    scale = stabilizer.scale_to_critical
+
+    def rescaled(psi, **kwargs):
+        result = scale(psi, **kwargs)
+        rep = PureState(psi.n, result.representative.amplitudes)
+        return dataclasses.replace(result, representative=rep)
+    monkeypatch.setattr(stabilizer, "scale_to_critical", rescaled)
+
+
+def probe_summary(verdict):
+    probe = verdict.probe
+    return (verdict.verdict, verdict.failed_gate, probe.lie_dim, probe.start_path,
+            len(probe.discrete_candidates), len(probe.gtilde_phase_hits))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_seeded_gram_matches_a_fresh_one(n, monkeypatch):
+    """The scaling's Gram matrix on the representative is read-only, within
+    1e-14 max|C| of one computed from its amplitudes, and gives the same probe."""
+    for seed in range(4):
+        psi = sample_haar_state(n, 40 + seed)
+        rep = stabilizer.scale_to_critical(psi, tol=stabilizer._REPRESENTATIVE_TOL).representative
+        gram = vars(rep)["pauli_gram"]  # nothing has read it: the scaling put it there
+        fresh = PureState(n, rep.amplitudes).pauli_gram
+        assert not gram.flags.writeable
+        assert np.max(abs(gram - fresh)) <= 1e-14 * np.max(abs(fresh))
+        seeded = gtilde_triviality_probe(psi)
+        with pytest.MonkeyPatch.context() as mp:
+            fresh_representative(mp)
+            again = gtilde_triviality_probe(psi)
+        assert "pauli_gram" in vars(again.representative)  # computed by the probe
+        assert again.representative.amplitudes.tobytes() == rep.amplitudes.tobytes()
+        assert probe_summary(again) == probe_summary(seeded)
 
 
 def test_probes_build_the_pauli_tables_once():

@@ -26,7 +26,8 @@ from localsym import (
     find_connector,
     genericity_report,
 )
-from localsym.states import _apply_factors, _pauli_images, _pauli_tables, _unitary_deviation
+from localsym.states import (_apply_factors, _apply_next, _pauli_images, _pauli_tables,
+                             _unitary_deviation)
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -101,6 +102,15 @@ def test_norm_and_gram_are_computed_once(n, exponent, seed):
         gram = psi.pauli_gram
     assert gram.tobytes() == expected.tobytes()
     assert psi.pauli_gram is gram and not gram.flags.writeable
+
+
+def test_norm_past_the_largest_float_is_inf_without_warning():
+    """A finite vector whose norm overflows reads inf; normalizing it still works."""
+    psi = make_gabcd(1e308, 1e308, 1e308, 1e308, normalized=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert psi.norm() == np.inf
+        assert abs(psi.normalized().norm() - 1.0) <= 1e-15
 
 
 def test_make_w_n2():
@@ -223,6 +233,30 @@ def test_apply_factors_batched_rows_match_dense_kron(n):
             assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
+SIGNED_ZEROS = np.array([0.0, -0.0, 0.0j, -0.0 - 0.0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_single_chain_apply_matches_a_stack_of_one_bitwise(n):
+    """One (n, 2, 2) chain, one factor at a time by a 2-D np.dot, gives the bytes
+    of the same chain as a stack of one row, on one state, on signed zeros and
+    on a (3, 2**n) amplitude stack."""
+    rng = np.random.default_rng(100 + n)
+    factors = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    factors[0, 0, 1] = SIGNED_ZEROS[1]
+    amp = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    signed = SIGNED_ZEROS[rng.integers(0, SIGNED_ZEROS.size, 2**n)]
+    for a in (amp, signed, np.where(rng.random(2**n) < 0.5, signed, amp)):
+        t = a.reshape(2, -1)
+        one, row = _apply_next(factors[0], t), _apply_next(factors[:1], t[None])[0]
+        assert one.tobytes() == row.tobytes()
+        one, row = _apply_factors(factors, a), _apply_factors(factors[None], a)[0]
+        assert one.tobytes() == row.tobytes()
+    for f in (factors, np.where(rng.random(factors.shape) < 0.5, SIGNED_ZEROS[1], factors)):
+        stack = np.stack([amp, signed, -amp])
+        assert _apply_factors(f, stack).tobytes() == _apply_factors(f[None], stack).tobytes()
+
+
 def dense_pauli_images(amp):
     """Row 3k + a: sigma_a on qubit k as an np.kron Pauli string times amp."""
     n = amp.size.bit_length() - 1
@@ -261,8 +295,7 @@ def test_pauli_images_match_stacked_blocks_bitwise(n):
     and on signed zeros."""
     rng = np.random.default_rng(n)
     amp = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    zeros = np.array([0.0, -0.0, 0.0j, -0.0 - 0.0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
-    signed = zeros[rng.integers(0, zeros.size, 2**n)]
+    signed = SIGNED_ZEROS[rng.integers(0, SIGNED_ZEROS.size, 2**n)]
     batch = np.stack([amp, signed, np.where(rng.random(2**n) < 0.5, signed, amp), -amp])
     for a in (amp, signed, batch):
         assert _pauli_images(a).tobytes() == _stacked_pauli_images(a).tobytes()
@@ -342,6 +375,29 @@ def test_fidelity_rejects_a_zero_norm_state(zero_first):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="nonzero norm"):
             fidelity(*((zero, unit) if zero_first else (unit, zero)))
+
+
+def test_fidelity_of_tiny_states():
+    """Norms near 1e-160 square to zero; each state is divided by its largest
+    modulus first."""
+    tiny = PureState(1, [1e-160, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fidelity(tiny, tiny) == 1.0
+        assert fidelity(PureState(1, [1e-160, 1e-160]), PureState(1, [1e-300, 0])) == 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**16), k=st.integers(-300, 300),
+       first=st.booleans())
+def test_fidelity_is_scale_invariant(n, seed, k, first):
+    psi, phi = sample_haar_state(n, seed), sample_haar_state(n, seed + 1)
+    expected = fidelity(psi, phi)
+    scaled = (PureState(n, 10.0**k * (psi if first else phi).amplitudes),)
+    pair = scaled + (phi,) if first else (psi,) + scaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(fidelity(*pair) - expected) <= 1e-12
 
 
 def test_haar_state_normalized():
