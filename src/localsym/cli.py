@@ -7,7 +7,9 @@ arguments, all but the output paths, so it reproduces the run (seeds,
 tolerances, budgets included).  ``--n`` is bounded by ``MAX_QUBITS``
 before anything is allocated.  Exit codes: 0 success or verdict,
 1 usage or input error (argparse parse errors included), 2 numerical
-non-convergence (``scale`` stopping at ``--max-iter``).
+non-convergence (``scale`` stopping at ``--max-iter``, or ending
+``ill_conditioned``: converged, but too far from scalar * A psi to be
+that state's representative).
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def cmd_scale(args) -> int:
         if args.rep_out:
             write_state(result.representative, args.rep_out)
     _report(args, payload)
-    return 2 if result.status == "max_iter" else 0
+    return 2 if result.status in ("max_iter", "ill_conditioned") else 0
 
 
 def cmd_stab(args) -> int:

@@ -10,7 +10,8 @@ raise the norm, it runs a cyclic Sinkhorn-style sweep: each step applies
 to one qubit the determinant-one positive matrix that flattens that
 qubit's reduced density, which never increases the norm.  Orbits
 without a critical point (the null cone) show up as monotone norm decay
-below threshold, or as a rank-deficient reduced density.
+below threshold, or as a rank-deficient reduced density; a converged run
+whose representative has drifted from scalar * A psi ends ill-conditioned.
 
 Both hold the amplitudes as a (2, 2**(n-1)) matrix t whose rows index
 one qubit, read its density [[a, c], [c*, b]] as the moments of one 2x2
@@ -43,6 +44,7 @@ from .states import (
     _UNIT_AND_PAULIS,
     _apply_factors,
     _apply_next,
+    _det_rejected,
     _moments,
     _pauli_images,
     _require_normalized,
@@ -60,6 +62,9 @@ _NEWTON_MIN_QUBITS = 4
 _NEWTON_MAX_QUBITS = 8
 # relative norm rise a Newton step may show from rounding alone and be kept
 _NEWTON_NORM_SLACK = 1e-14
+# largest ||scalar A psi - representative|| of a converged run whose
+# representative is still psi's, as bench/checks.check_scaling requires
+_FORWARD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,9 @@ class ScalingResult:
     accumulated_chain: LocalOperatorChain
     scalar: complex
     iterations: int
-    status: str  # "converged" | "null_cone" | "max_iter"
+    # "converged" | "null_cone" | "max_iter" | "ill_conditioned" (converged, but
+    # the representative is more than 1e-10 from scalar * A psi, so not psi's)
+    status: str
     norm_trajectory: list[float]
 
 
@@ -189,7 +196,14 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     factor is applied by ``states._apply_next``, one product that also rolls
     the next qubit into the rows; an iteration's factors enter the chain in
     one batched matmul, at a null-cone exit within a sweep only those already
-    applied.
+    applied.  The chain A is returned with tag G: accumulated factors whose
+    determinant has drifted past the relative rule of ``states._det_rejected``
+    (hundreds of sweeps drift it by about 1e-12 relative) are divided by the
+    root of their determinant, and all others are kept bit for bit.  A
+    converged run is then checked against one product of A with psi: if
+    ||scalar A psi - representative|| > 1e-10, the representative is not psi's
+    (near the null cone, where A grows large) and the run ends
+    ``ill_conditioned``, with no representative and scalar 1.
     """
     if not 0 < tol < math.inf:  # also true for nan
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -205,14 +219,20 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     gathered = None  # in the Newton range, _gram_and_bloch of t
 
     def finish(status, iterations):
+        if (bad := _det_rejected(acc, "G")).any():  # det drifts over many sweeps
+            acc[bad] /= np.sqrt(np.linalg.det(acc[bad]))[:, None, None]
         chain = LocalOperatorChain(acc, "G")
+        rep, scalar = None, 1.0
         if status == "converged":
             nrm = np.linalg.norm(t)
-            rep, scalar = PureState(n, t.reshape(-1) / nrm), 1.0 / nrm
-            if gathered is not None:  # the Lie gate, _starts and find_connector read it
-                vars(rep)["pauli_gram"] = gathered[0]
-        else:
-            rep, scalar = None, 1.0 + 0j
+            amp = t.reshape(-1) / nrm
+            direct = _apply_factors(chain.factors, psi.amplitudes) / nrm
+            if np.linalg.norm(direct - amp) > _FORWARD_TOL:
+                status = "ill_conditioned"
+            else:
+                rep, scalar = PureState(n, amp), 1.0 / nrm
+                if gathered is not None:  # the Lie gate, _starts and find_connector read it
+                    vars(rep)["pauli_gram"] = gathered[0]
         return ScalingResult(rep, chain, complex(scalar), iterations, status, trajectory)
 
     for it in range(max_iter + 1):

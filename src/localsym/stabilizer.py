@@ -440,13 +440,14 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
                             seed: int = 0, tol: float = 1e-8) -> TrivialityVerdict:
     """Full pipeline deciding whether psi has any product-operator symmetry.
 
-    Gates: (1) scale to the critical representative (null-cone states
-    are inconclusive); (2) Lie stabilizer must be zero-dimensional;
-    (3) the compact-group search must come up empty; (4) a nonzero
-    degree-2 invariant (even n) pins the admissible global phase to
-    +-1 so step 3 suffices; for odd n a nonzero degree-4 invariant pins
-    the phase to fourth roots of unity and the +-i cases are probed
-    directly.  Witness findings are reported on the critical
+    Gates: (1) scale to the critical representative (null-cone states,
+    and states whose scaling ends ill-conditioned because the
+    representative it reached is not psi's, are inconclusive); (2) Lie
+    stabilizer must be zero-dimensional; (3) the compact-group search
+    must come up empty; (4) a nonzero degree-2 invariant (even n) pins
+    the admissible global phase to +-1 so step 3 suffices; for odd n a
+    nonzero degree-4 invariant pins the phase to fourth roots of unity
+    and the +-i cases are probed directly.  Witness findings are reported on the critical
     representative, whose stabilizer is conjugate to that of psi.  On
     start paths "pair_exact" and "pair_circle" step 3 enumerates every
     candidate, so a "trivial" verdict does not depend on the budget or

@@ -50,6 +50,18 @@ def _unitary_deviation(factors: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(gram - np.eye(2), axis=(-2, -1))))
 
 
+def _det_rejected(factors: np.ndarray, group_tag: str) -> np.ndarray:
+    """Which factors of a (n, 2, 2) stack fail the determinant rule of tag G,
+    K or Gt, each judged against s_k = ||g_k||_F**2 / 2, the size of det's
+    rounding (1 for a unitary): G and K need |det g_k - 1| <= 1e-12 s_k, Gt
+    needs |det g_k| >= 2e-12 s_k."""
+    dets = np.linalg.det(factors)
+    scale = 0.5 * np.einsum("kij,kij->k", factors, factors.conj()).real
+    if group_tag == "Gt":
+        return abs(dets) < 2 * _DET_TOL * scale
+    return abs(dets - 1.0) > _DET_TOL * scale
+
+
 def _vector_norm(amp: np.ndarray) -> float:
     """||amp||, divided by the largest modulus first: squares of amplitudes near
     1e300 would overflow.  Non-finite input returns that modulus, inf or nan; a
@@ -121,8 +133,10 @@ class LocalOperatorChain:
 
     ``group_tag`` declares the intended group and is validated on
     construction: "G" (SL(2,C) factors), "K" (SU(2)), "Gt" (GL(2,C)),
-    "Kt" (U(2)).  ``scalar`` is an optional global prefactor kept
-    separate so determinant-one structure of the factors is preserved.
+    "Kt" (U(2)); each factor's determinant is judged relative to its size
+    (``_det_rejected``), so large SL(2) products pass.  ``scalar`` is an
+    optional global prefactor kept separate so determinant-one structure
+    of the factors is preserved.
     The factors are a read-only copy of the input.
     """
 
@@ -139,19 +153,11 @@ class LocalOperatorChain:
         # before det, which warns on them, and the tag tests, which NaN passes
         if not (np.isfinite(fac).all() and cmath.isfinite(complex(self.scalar))):
             raise ValueError("factors and scalar must be finite")
-        dets = np.linalg.det(fac)
-        if self.group_tag == "G":
-            if np.max(np.abs(dets - 1.0)) > _DET_TOL:
-                raise ValueError("tag G requires unit-determinant factors")
-        elif self.group_tag == "Gt":
-            sq_norms = np.einsum("kij,kij->k", fac, fac.conj()).real
-            if np.min(np.abs(dets)) < _DET_TOL * np.max(sq_norms):
-                raise ValueError("tag Gt requires invertible factors")
-        if self.group_tag in ("K", "Kt"):
-            if _unitary_deviation(fac) > _UNITARY_TOL:
-                raise ValueError(f"tag {self.group_tag} requires unitary factors")
-            if self.group_tag == "K" and np.max(np.abs(dets - 1.0)) > _DET_TOL:
-                raise ValueError("tag K requires unit-determinant factors")
+        if self.group_tag in ("K", "Kt") and _unitary_deviation(fac) > _UNITARY_TOL:
+            raise ValueError(f"tag {self.group_tag} requires unitary factors")
+        if self.group_tag != "Kt" and _det_rejected(fac, self.group_tag).any():
+            need = "invertible" if self.group_tag == "Gt" else "unit-determinant"
+            raise ValueError(f"tag {self.group_tag} requires {need} factors")
         fac.setflags(write=False)
         object.__setattr__(self, "factors", fac)
 
@@ -383,9 +389,9 @@ def sample_chain(n: int, group_tag: str, seed) -> LocalOperatorChain:
     """Random chain: Haar factors for K/Kt, Ginibre ones for G/Gt.
 
     The n factors are one Ginibre draw, for G divided by the principal
-    root of their determinant.  Numerically singular G/Gt factors are
-    redrawn after the stack until regular, so the chain always passes
-    the tag's invariants.
+    root of their determinant.  Factors that fail the Gt rule of
+    ``_det_rejected`` (numerically singular) are redrawn after the stack
+    until regular, so the chain always passes the tag's invariants.
     """
     if group_tag not in GROUP_TAGS:
         raise ValueError(f"unknown group tag {group_tag!r}")
@@ -395,8 +401,7 @@ def sample_chain(n: int, group_tag: str, seed) -> LocalOperatorChain:
     if group_tag in ("K", "Kt"):
         return LocalOperatorChain(_haar_u2(z, group_tag == "K"), group_tag)
     z = z / np.sqrt(2)
-    while (bad := np.flatnonzero(abs(np.linalg.det(z))
-                                 < 1e-12 * np.linalg.norm(z, axis=(-2, -1)) ** 2)).size:
+    while (bad := np.flatnonzero(_det_rejected(z, "Gt"))).size:
         z[bad] = _ginibre(rng, bad.shape) / np.sqrt(2)
     if group_tag == "G":
         z = z / np.sqrt(np.linalg.det(z))[:, None, None]  # principal branch

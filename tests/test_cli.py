@@ -11,8 +11,10 @@ import pytest
 
 from localsym import cli, make_gabcd, make_ghz, make_ln, make_w, sample_haar_state
 from localsym.cli import main
-from localsym.io import read_state, write_state, write_chain
+from localsym.io import chain_from_dict, read_state, write_state, write_chain
 from localsym import LocalOperatorChain
+
+from conftest import near_null_cone_state
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -112,6 +114,23 @@ def test_scale_max_iter_exits_two(tmp_path, capsys):
     code, doc = run(["scale", str(state), "--max-iter", "0"], capsys)
     assert code == 2
     assert doc["payload"]["status"] == "max_iter"
+
+
+def test_ill_conditioned_scaling_exits_two_and_stab_is_inconclusive(tmp_path, capsys):
+    state = tmp_path / "s.json"
+    write_state(near_null_cone_state(9, 0), state)
+    code, doc = run(["scale", str(state)], capsys)
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    check_envelope(doc)
+    payload = doc["payload"]
+    assert payload["status"] == "ill_conditioned" and "representative" not in payload
+    assert chain_from_dict(payload["accumulated_chain"]).n == 9
+    code, doc = run(["stab", str(state)], capsys)
+    assert code == 0
+    check_envelope(doc)
+    assert (doc["payload"]["verdict"], doc["payload"]["failed_gate"]) == (
+        "inconclusive", "critical_scaling:ill_conditioned")
 
 
 def test_scale_rejects_negative_max_iter(tmp_path, capsys):

@@ -15,11 +15,12 @@ from localsym import (
     make_w,
     sample_haar_state,
 )
-from localsym import critical
+from localsym import critical, find_connector, gtilde_triviality_probe
 from localsym.critical import _flattening_factor, _gram_and_bloch, _newton_factors
+from localsym.io import chain_from_dict, chain_to_dict
 from localsym.states import _moments, _pauli_tables
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all, near_null_cone_state
 
 
 def reconstruct(psi, result):
@@ -416,6 +417,34 @@ def test_scale_unit_det_accumulated_chain():
     result = scale_to_critical(sample_haar_state(4, 11))
     dets = np.linalg.det(result.accumulated_chain.factors)
     assert np.max(np.abs(dets - 1.0)) < 1e-10
+
+
+def test_large_scaling_chain_converges_and_reloads():
+    """Factors of Frobenius norm 400 carry det rounding far above 1e-12, which
+    the per-factor relative rule absorbs."""
+    psi = near_null_cone_state(3, 0)
+    result = scale_to_critical(psi)
+    assert result.status == "converged"
+    assert np.max(np.linalg.norm(result.accumulated_chain.factors, axis=(1, 2))) > 100
+    reloaded = chain_from_dict(chain_to_dict(result.accumulated_chain))
+    np.testing.assert_array_equal(reloaded.factors, result.accumulated_chain.factors)
+    assert np.linalg.norm(reconstruct(psi, result).amplitudes
+                          - result.representative.amplitudes) <= 1e-10
+
+
+def test_drifted_representative_is_ill_conditioned():
+    """At n = 9 hundreds of sweeps leave the representative far from
+    scalar * A psi: the run reports so instead of raising or returning it."""
+    psi = near_null_cone_state(9, 0)
+    result = scale_to_critical(psi)
+    assert result.status == "ill_conditioned"
+    assert result.representative is None and result.scalar == 1.0
+    chain_from_dict(chain_to_dict(result.accumulated_chain))
+    verdict = gtilde_triviality_probe(psi)
+    assert (verdict.verdict, verdict.failed_gate) == (
+        "inconclusive", "critical_scaling:ill_conditioned")
+    with pytest.raises(ValueError, match=r"no critical representative for psi \(ill_conditioned\)"):
+        find_connector(psi, psi)
 
 
 def test_min_norm_probe_on_critical_states():

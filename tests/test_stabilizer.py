@@ -205,6 +205,42 @@ def test_probe_l6_inconclusive_f2_zero():
     assert verdict.failed_gate == "f2_zero"
 
 
+def planted_state(n, m, k, seed):
+    """A Haar state projected onto the t = e^(i pi k / m) eigenspace of u in
+    SU(2)^n, u_j = V_j diag(w^a_j, w^-a_j) V_j^dag with w = e^(i pi / m), V
+    Haar and a_j in [0, 2m): psi_t ~ sum_(j < 2m) t^-j u^j psi, so u psi_t =
+    t psi_t and psi_t has a non-trivial stabilizer.  Returns (psi_t, u, t)."""
+    rng = derive_rng(9000, n, m, k, seed)
+    psi = sample_haar_state(n, rng)
+    v = _haar_u2(_ginibre(rng, (n,)), True)
+    a = rng.integers(0, 2 * m, n)
+    wa, t = np.exp(1j * np.pi / m) ** a, np.exp(1j * np.pi * k / m)
+    u = v * np.stack([wa, wa.conj()], -1)[:, None, :] @ v.conj().swapaxes(-1, -2)
+    term, total = psi.amplitudes, 0.0
+    for j in range(2 * m):
+        total = total + t ** -j * term
+        term = _apply_factors(u, term)
+    return PureState(n, total).normalized(), u, t
+
+
+# (n, m, k, seed) of planted states near the null cone.  Without the scaling's
+# forward-error gate the first comes out "trivial" through pair_circle (scalar
+# 3.8e5, forward residual 4.7e-3); under an absolute determinant test the
+# other two raise from the scaling chain's construction
+PLANTED_ILL_CONDITIONED = {"pair_circle_miss": (6, 5, 8, 0),
+                           "raise_n6": (6, 3, 1, 0), "raise_n5": (5, 5, 9, 2)}
+
+
+@pytest.mark.parametrize("case", PLANTED_ILL_CONDITIONED.values(),
+                         ids=PLANTED_ILL_CONDITIONED.keys())
+def test_probe_planted_symmetry_near_null_cone_is_inconclusive(case):
+    psi, u, t = planted_state(*case)
+    assert np.linalg.norm(_apply_factors(u, psi.amplitudes) - t * psi.amplitudes) <= 1e-10
+    verdict = gtilde_triviality_probe(psi)
+    assert (verdict.verdict, verdict.failed_gate) == (
+        "inconclusive", "critical_scaling:ill_conditioned")
+
+
 def test_probe_requires_normalized():
     with pytest.raises(ValueError):
         gtilde_triviality_probe(make_w(3, normalized=False))

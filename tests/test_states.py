@@ -461,6 +461,18 @@ def test_chain_tag_validation():
     with pytest.raises(ValueError):
         LocalOperatorChain(bad, "K")
     LocalOperatorChain(bad, "Gt")  # invertible, fine
+    # each determinant is judged against its own factor's s = ||g||_F^2 / 2
+    spread = LocalOperatorChain(np.array([1e4 * np.eye(2), 1e-3 * np.eye(2)]), "Gt")
+    assert abs(pmax(sample_haar_state(2, 0), spread).p_max - 1.0) <= 1e-12
+    u = sample_chain(1, "K", 3).factors[0]
+    large = u @ np.diag([1e4, 1e-4]) @ u.conj().T
+    assert abs(np.linalg.det(large) - 1.0) > 1e-9  # rounding, far above 1e-12
+    LocalOperatorChain([large], "G")
+    # s = 1 for a unitary, so K keeps its absolute bound
+    tilted = sample_chain(2, "K", 0).factors * np.exp(1e-12j)
+    assert abs(np.linalg.det(tilted[0]) - 1.0) > 1.9e-12
+    with pytest.raises(ValueError, match="tag K requires unit-determinant factors"):
+        LocalOperatorChain(tilted, "K")
 
 
 @pytest.mark.parametrize("tag", ["G", "Gt", "K", "Kt"])
