@@ -72,20 +72,20 @@ class ProtocolRunStats:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing g psi fails the norm test
-def _rescaled_connector(psi: PureState,
-                        chain: LocalOperatorChain) -> tuple[LocalOperatorChain, PureState]:
-    """(g', g psi / ||g psi||) from one product g psi straight from the factor
-    kernel; the target is the only state built.  g' has 1/||g psi||^(1/n) in each
-    factor, so g' psi is that unit-norm target.  The Gt tag rejects a numerically
-    singular factor, as a positive rescale keeps its relative determinant test."""
-    if chain.n != psi.n:
-        raise ValueError(f"chain acts on {chain.n} qubits, state has {psi.n}")
-    out = chain.scalar * _apply_factors(chain.factors, psi.amplitudes)
+def _rescaled_connector(psi: PureState, factors: np.ndarray,
+                        scalar: complex) -> tuple[LocalOperatorChain, PureState]:
+    """(g', g psi / ||g psi||) for g = scalar (x)_k factors_k, from one product g psi
+    straight from the factor kernel; g' and the target are the only chain and state
+    built.  g' has 1/||g psi||^(1/n) in each factor, so g' psi is that unit-norm target;
+    its Gt tag rejects a singular factor, as a positive rescale keeps the relative test."""
+    if len(factors) != psi.n:
+        raise ValueError(f"chain acts on {len(factors)} qubits, state has {psi.n}")
+    out = scalar * _apply_factors(factors, psi.amplitudes)
     out_norm = _vector_norm(out)
     if not 0.0 < out_norm < np.inf:
         raise ValueError("g psi underflows to zero or is not finite; rescale the chain's factors")
-    scale = (abs(chain.scalar) / out_norm) ** (1.0 / chain.n)
-    g = LocalOperatorChain(chain.factors * scale, "Gt", scalar=chain.scalar / abs(chain.scalar))
+    scale = (abs(scalar) / out_norm) ** (1.0 / len(factors))
+    g = LocalOperatorChain(factors * scale, "Gt", scalar=scalar / abs(scalar))
     return g, PureState(psi.n, out / out_norm)
 
 
@@ -99,7 +99,7 @@ def pmax(psi: PureState, chain: LocalOperatorChain,
     status, never the number.
     """
     _require_normalized(psi)
-    g, target = _rescaled_connector(psi, chain)
+    g, target = _rescaled_connector(psi, chain.factors, chain.scalar)
     grams = np.transpose(g.factors.conj(), (0, 2, 1)) @ g.factors
     lam = np.linalg.eigvalsh(grams)[:, -1]
     p = float(1.0 / np.prod(lam))
@@ -140,6 +140,8 @@ def simulate_protocol(plan: ConversionPlan, psi: PureState, trials: int,
     if not 0 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be non-negative and at most 2**63 - 1, got {trials}")
     _require_seed(seed)
+    if len(plan.measurements) != psi.n:
+        raise ValueError(f"plan acts on {len(plan.measurements)} qubits, state has {psi.n}")
     _require_normalized(psi)
     if trials == 0:
         return ProtocolRunStats(0, 0, None, None, seed)
@@ -168,6 +170,8 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
     inconclusive, not a proof of inequivalence.
     """
     _require_budget(restarts, seed)
+    if psi.n != phi.n:
+        raise ValueError(f"psi has {psi.n} qubits, phi has {phi.n}")
     _require_normalized(psi)
     _require_normalized(phi)
     scale_psi = scale_to_critical(psi, tol=_REPRESENTATIVE_TOL)
@@ -179,8 +183,8 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
                                    (1.0,), restarts, seed, special=False)
     u = factors[0, np.argmin(residuals[0])]
     a, b = scale_psi.accumulated_chain.factors, scale_phi.accumulated_chain.factors
-    g, target = _rescaled_connector(psi, LocalOperatorChain(
-        np.linalg.solve(b, u @ a), "Gt", scalar=scale_psi.scalar / scale_phi.scalar))
+    g, target = _rescaled_connector(psi, np.linalg.solve(b, u @ a),
+                                    scale_psi.scalar / scale_phi.scalar)
     if fidelity(target, phi) < 1.0 - 1e-8:
         return None
     return g

@@ -38,7 +38,6 @@ import numpy as np
 from .states import (
     PureState,
     LocalOperatorChain,
-    apply_chain,
     sample_chain,
     derive_rng,
     _UNIT_AND_PAULIS,
@@ -48,6 +47,7 @@ from .states import (
     _moments,
     _pauli_images,
     _require_normalized,
+    _vector_norm,
 )
 
 __all__ = ["CriticalityReport", "ScalingResult", "criticality_report",
@@ -287,5 +287,5 @@ def min_norm_probe(phi: PureState, trials: int = 100, seed: int = 0) -> float:
     best = phi.norm()
     for t in range(trials):
         g = sample_chain(phi.n, "G", derive_rng(seed, t))
-        best = min(best, apply_chain(g, phi).norm())
+        best = min(best, _vector_norm(_apply_factors(g.factors, phi.amplitudes)))
     return best

@@ -16,7 +16,7 @@ enumeration.  Otherwise the starts are Haar-random ("random"), and an
 empty result is numerical evidence at the given budget, not a proof.
 ``_align`` (also used by ``convert``) applies all starts once, for all
 phases t = 1, i, -i at odd n, and polishes the rows off a hit as one batch
-of Gauss-Newton steps; ``_search`` verifies the hits in one pass.
+of Gauss-Newton steps; ``_search`` keeps the residual ``_align`` returns.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from .states import (
     PureState,
     LocalOperatorChain,
-    apply_chain,
     derive_rng,
     _UNIT_AND_PAULIS,
     _apply_factors,
@@ -313,9 +312,9 @@ def _align(psi: PureState, target: PureState, phases, restarts: int, seed: int,
     as a hit up to _CANDIDATE_OVERLAP at its phase keeps its start and
     residual inf; a row at -t starts at t with its factor 0 negated.  Rows
     starting below 1e-14 are not polished.  Returns factors (len(phases),
-    rows, n, 2, 2), residuals (len(phases), rows) and the path.  Rows are
-    independent, so chunks of ``_BATCH_BYTES`` change no row.  Callers
-    check restarts >= 1.
+    rows, n, 2, 2), residuals (len(phases), rows), each finite one exactly
+    ||u psi - t target|| for the returned u, and the path.  Rows are independent,
+    so chunks of ``_BATCH_BYTES`` change no row.  Callers check restarts >= 1.
     """
     phases = np.asarray(phases, dtype=complex)
     start, path = _starts(psi, target, restarts, seed, special)
@@ -361,26 +360,23 @@ def _require_budget(restarts: int, seed: int, tol: float | None = None) -> None:
 
 def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
             ) -> tuple[list[tuple[complex, LocalOperatorChain, float]], str]:
-    """Verified hits (t, u, ||u psi - t psi||) below tol in phase order, and the
-    path.  One apply re-verifies all rows below tol, rows near the identity are
-    dropped for t = +-1, and a row near a hit kept before it at its phase is
-    merged; only kept hits become chains.
+    """Hits (t, u, ||u psi - t psi||) below tol in phase order, with ``_align``'s
+    residuals, and the path.  Rows near the identity are dropped for t = +-1, a row
+    near a hit kept before it at its phase is merged; only kept hits become chains.
     """
     all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, True)
     p, r = np.nonzero(all_residuals < tol)
     if not p.size:
         return [], path
-    fac, t = all_factors[p, r], np.asarray(phases, dtype=complex)[p]
-    check = np.linalg.norm(_apply_factors(fac, psi.amplitudes) - t[:, None] * psi.amplitudes,
-                           axis=1)
+    fac, t, res = all_factors[p, r], np.asarray(phases, dtype=complex)[p], all_residuals[p, r]
     # -I on one qubit gives u psi = -psi
     trivial = (abs(t * t - 1.0) <= 1e-12) & (
         _chain_distance(fac, np.eye(2)) <= _IDENTITY_EXCLUSION_RADIUS)
-    left, kept = (check <= tol) & ~trivial, []
+    left, kept = ~trivial, []
     while left.any():  # the first row left is kept and merges its near-duplicates
         kept.append(np.argmax(left))
         left &= (p != p[kept[-1]]) | (_chain_distance(fac, fac[kept[-1]]) >= _DEDUP_RADIUS)
-    return [(phases[p[i]], LocalOperatorChain(fac[i], "K"), float(check[i])) for i in kept], path
+    return [(phases[p[i]], LocalOperatorChain(fac[i], "K"), float(res[i])) for i in kept], path
 
 
 def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0,
@@ -421,18 +417,18 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
 
 
 def adjoint_closure_check(psi: PureState, chain: LocalOperatorChain) -> tuple[float, float]:
-    """Residuals (||g psi - psi||, ||g^dag psi - psi||) on a critical state.
+    """Residuals (||g psi - psi||, ||g^dag psi - psi||) on a critical state of g's size.
 
     The stabilizer of a critical state is closed under the adjoint, so a
     genuine symmetry witness keeps both residuals small.
     """
-    crit = criticality_report(psi, tol=_CRITICAL_PRE_TOL)
-    if not crit.is_critical:
+    if not criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical:
         raise ValueError("adjoint closure check needs a critical state")
-    fwd = np.linalg.norm(apply_chain(chain, psi).amplitudes - psi.amplitudes)
-    adj = LocalOperatorChain(chain.factors.conj().swapaxes(-1, -2), chain.group_tag,
-                             np.conj(chain.scalar))
-    bwd = np.linalg.norm(apply_chain(adj, psi).amplitudes - psi.amplitudes)
+    if chain.n != psi.n:
+        raise ValueError(f"chain acts on {chain.n} qubits, state has {psi.n}")
+    fwd, bwd = (np.linalg.norm(s * _apply_factors(f, psi.amplitudes) - psi.amplitudes)
+                for s, f in ((chain.scalar, chain.factors),
+                             (np.conj(chain.scalar), chain.factors.conj().swapaxes(-1, -2))))
     return float(fwd), float(bwd)
 
 
@@ -467,19 +463,15 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
 
     if probe.lie_dim != 0:
         return verdict("non_trivial", "lie_dim")
-    # odd n: the searches at t = 1, i, -i run as one batch; gates keep their order
-    phases = (1.0,) if rep.n % 2 == 0 else (1.0, 1j, -1j)
+    # t = 1 (and i, -i at odd n) in one batch; at even n every hit returns at discrete_search
+    pin, gate, phases = ((f2, "f2_zero", (1.0,)), (f4, "f4_zero", (1.0, 1j, -1j)))[rep.n % 2]
     hits, probe.start_path = _search(rep, phases, restarts, seed, tol)
     probe.discrete_candidates = [(chain, res) for t, chain, res in hits if t == 1.0]
     if probe.discrete_candidates:
         return verdict("non_trivial", "discrete_search")
-    if rep.n % 2 == 0:
-        if abs(f2(rep).value) <= 1e-10:
-            return verdict("inconclusive", "f2_zero")
-        return verdict("trivial", None)
     probe.gtilde_phase_hits = hits
     if probe.gtilde_phase_hits:
         return verdict("non_trivial", "phase_search")
-    if abs(f4(rep).value) <= 1e-10:
-        return verdict("inconclusive", "f4_zero")
+    if abs(pin(rep).value) <= 1e-10:
+        return verdict("inconclusive", gate)
     return verdict("trivial", None)

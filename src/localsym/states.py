@@ -334,6 +334,8 @@ def fidelity(psi: PureState, phi: PureState) -> float:
 
     Each state is divided by its largest modulus first, so norms near 1e-160
     or 1e300, whose squares would underflow or overflow, give the same value."""
+    if psi.n != phi.n:
+        raise ValueError(f"states have {psi.n} and {phi.n} qubits")
     if psi.norm() == 0.0 or phi.norm() == 0.0:
         raise ValueError("fidelity needs two states of nonzero norm")
     a, b = (s.amplitudes / np.max(np.abs(s.amplitudes)) for s in (psi, phi))

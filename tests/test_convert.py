@@ -128,6 +128,12 @@ def test_protocol_zero_trials():
     assert stats.trials == 0 and stats.empirical_p is None
 
 
+def test_protocol_rejects_a_state_of_another_size():
+    plan = build_protocol(make_ln(5), diag_chain_l5())
+    with pytest.raises(ValueError, match="plan acts on 5 qubits, state has 6"):
+        simulate_protocol(plan, make_ln(6), trials=10)
+
+
 def test_protocol_rejects_negative_trials():
     psi = make_ln(5)
     plan = build_protocol(psi, diag_chain_l5())
@@ -283,6 +289,11 @@ def test_find_connector_rejects_negative_seed():
         find_connector(psi, phi, seed=-1)
 
 
+def test_find_connector_rejects_states_of_different_sizes():
+    with pytest.raises(ValueError, match="psi has 5 qubits, phi has 6"):
+        find_connector(sample_haar_state(5, 0), sample_haar_state(6, 0))
+
+
 def test_find_connector_inequivalent_states():
     psi = make_ghz(4)
     phi = sample_haar_state(4, 10)
@@ -410,7 +421,8 @@ def test_plan_matches_state_building_reference(n, tag, seed, log_modulus, sign, 
                                scalar=10.0 ** (sign * log_modulus) * np.exp(1j * phase))
     g_ref, target_ref = _reference_rescaled_connector(psi, chain)
     plan = build_protocol(psi, chain)
-    for g, target in (_rescaled_connector(psi, chain), (plan.connector, plan.target)):
+    for g, target in (_rescaled_connector(psi, chain.factors, chain.scalar),
+                      (plan.connector, plan.target)):
         assert g.factors.tobytes() == g_ref.factors.tobytes()
         assert g.scalar == g_ref.scalar
         assert target.amplitudes.tobytes() == target_ref.amplitudes.tobytes()

@@ -14,6 +14,8 @@ from localsym import (
     phase_stabilizer_search,
     gtilde_triviality_probe,
     adjoint_closure_check,
+    f2,
+    f4,
     find_connector,
     make_ghz,
     make_ln,
@@ -159,6 +161,11 @@ def test_adjoint_closure_requires_critical():
             np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy(), "K"))
 
 
+def test_adjoint_closure_rejects_a_chain_of_another_size():
+    with pytest.raises(ValueError, match="chain acts on 4 qubits, state has 5"):
+        adjoint_closure_check(make_ln(5), sample_chain(4, "K", 0))
+
+
 def test_probe_haar_n5_trivial():
     verdict = gtilde_triviality_probe(sample_haar_state(5, 11), restarts=16)
     assert verdict.verdict == "trivial"
@@ -239,6 +246,32 @@ def test_probe_planted_symmetry_near_null_cone_is_inconclusive(case):
     verdict = gtilde_triviality_probe(psi)
     assert (verdict.verdict, verdict.failed_gate) == (
         "inconclusive", "critical_scaling:ill_conditioned")
+
+
+def planted_residual(case) -> float:
+    psi, u, t = planted_state(*case)
+    return np.linalg.norm(_apply_factors(u, psi.amplitudes) - t * psi.amplitudes)
+
+
+# Every planted case whose projection survives (175 of the 336 of the grid; in
+# the other 161 u psi = t psi fails by more than 1e-10), every 8th of them
+PLANTED_GRID = [(n, m, k, seed) for n in (5, 6, 7) for m in range(2, 6)
+                for k in range(2 * m) for seed in range(4)]
+PLANTED_SAMPLE = [case for case in PLANTED_GRID if planted_residual(case) <= 1e-10][::8]
+
+
+@pytest.mark.parametrize("case", PLANTED_SAMPLE, ids=lambda c: "n{}-m{}-k{}-s{}".format(*c))
+def test_probe_never_calls_a_planted_symmetry_trivial(case):
+    """A state with u psi = t psi has a non-trivial stabilizer, so whatever gate
+    stops the probe, its verdict is not "trivial".  Where t is not pinned (t^4 != 1
+    at odd n, t^2 != 1 at even n), f(psi) = t^d f(psi) makes the pinning invariant
+    of degree d vanish, and the representative's reads as zero at the f gate."""
+    n, m, k, _ = case
+    verdict = gtilde_triviality_probe(planted_state(*case)[0])
+    assert verdict.verdict != "trivial"
+    invariant, degree = (f2, 2) if n % 2 == 0 else (f4, 4)
+    if (k * degree) % (2 * m) and verdict.representative is not None:
+        assert abs(invariant(verdict.representative).value) <= 1e-14
 
 
 def test_probe_requires_normalized():
@@ -357,6 +390,51 @@ def test_rows_starting_on_a_hit_keep_their_start(monkeypatch):
     assert residual[0, 0] < 1e-14
     assert not np.array_equal(factors[0, 1], start[1])  # the Haar row is polished
     assert polished == [1]
+
+
+def connector_pair(n, seed):
+    """The critical representatives of psi and g psi / ||g psi|| that
+    ``find_connector`` aligns, for psi Haar and g = sample_chain(n, "G", seed + 10)."""
+    psi = sample_haar_state(n, seed)
+    phi = apply_chain(sample_chain(n, "G", seed + 10), psi).normalized()
+    return [critical.scale_to_critical(s, tol=stabilizer._REPRESENTATIVE_TOL).representative
+            for s in (psi, phi)]
+
+
+# (psi, target, phases, restarts, special): exact rows, circle rows at all three
+# phases, polished Haar rows, and the free-phase rows of find_connector
+ALIGN_CASES = {
+    "exact-gabcd": (make_gabcd(1, 2 + 1j, 3, 0.5), None, (1.0,), 32, True),
+    "circle-l5": (make_ln(5), None, (1.0, 1j, -1j), 32, True),
+    "random-l4": (make_ln(4), None, (1.0,), 8, True),
+    "free-phase-n4": (*connector_pair(4, 1), (1.0,), 32, False),
+    "free-phase-n5": (*connector_pair(5, 2), (1.0,), 32, False),
+}
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-batch", "chunked"])
+@pytest.mark.parametrize("case", ALIGN_CASES.values(), ids=ALIGN_CASES.keys())
+def test_align_residual_is_that_of_the_returned_factors(case, chunked, monkeypatch):
+    """Every finite residual of _align is ||u psi - t target|| of the row's own
+    returned u, bitwise, with t re-read as the phase of <target|u psi> over U(2)^n:
+    the search reports it for each hit without applying the hits again."""
+    psi, target, phases, restarts, special = case
+    target = psi if target is None else target
+    if chunked:  # 5 rows a chunk at one phase, 1 at three
+        monkeypatch.setattr(stabilizer, "_BATCH_BYTES", 5 * 16 * 3 * psi.n * psi.dim)
+    factors, residuals, path = _align(psi, target, phases, restarts, 0, special)
+    p, r = np.nonzero(np.isfinite(residuals))
+    chi = _apply_factors(factors[p, r], psi.amplitudes)
+    t = (np.asarray(phases, dtype=complex)[p] if special
+         else np.exp(1j * np.angle(chi @ target.amplitudes.conj())))
+    check = np.linalg.norm(chi - t[:, None] * target.amplitudes, axis=1)
+    assert p.size and check.tobytes() == residuals[p, r].tobytes()
+    start = _starts(psi, target, restarts, 0, special)[0][r]
+    kept = np.all(factors[p, r, 1:] == start[:, 1:], axis=(1, 2, 3))
+    if path == "pair_circle":  # rows at -t start at t with factor 0 negated
+        assert np.any(kept & np.all(factors[p, r, 0] == -start[:, 0], axis=(1, 2)))
+    if path == "random":  # every row is polished
+        assert not kept.any()
 
 
 @pytest.mark.parametrize("offset", [1e-12, 1e-6, 1e-2])

@@ -368,6 +368,11 @@ def test_haar_states_differ_across_seeds():
     assert fidelity(a, b) < 0.99
 
 
+def test_fidelity_rejects_states_of_different_sizes():
+    with pytest.raises(ValueError, match="states have 5 and 6 qubits"):
+        fidelity(sample_haar_state(5, 0), sample_haar_state(6, 0))
+
+
 @pytest.mark.parametrize("zero_first", [True, False])
 def test_fidelity_rejects_a_zero_norm_state(zero_first):
     zero, unit = PureState(2, np.zeros(4)), make_ghz(2)
