@@ -3,7 +3,9 @@
 Three layers: the Lie-algebra dimension catches continuous symmetry,
 a randomized compact-group search catches isolated unitary symmetry,
 and a phase-augmented search catches symmetries that act as a global
-phase.  The full pipeline combines them into a single verdict.
+phase.  The full pipeline combines them into a single verdict, and
+certifies a state with no search when the two-qubit correlation tensors
+leave only the identity rotation (a one-dimensional commutant).
 """
 
 from localsym import (
@@ -36,6 +38,7 @@ chain, residual = min(hits, key=lambda h: h[1])
 print("\nL_5 phase witness residual:", residual)
 print("first factor:\n", chain.factors[0].round(12))
 
-# A Haar-random 5-qubit state passes every gate: no symmetry at all.
-print("\nhaar n=5 verdict:",
-      gtilde_triviality_probe(sample_haar_state(5, 7)).verdict)
+# A Haar-random 5-qubit state has no symmetry at all: its pair-tensor
+# commutant is one-dimensional, which certifies that with no search.
+verdict = gtilde_triviality_probe(sample_haar_state(5, 7))
+print("\nhaar n=5 verdict:", verdict.verdict, "via", verdict.probe.start_path)

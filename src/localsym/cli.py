@@ -27,7 +27,7 @@ from .states import (
 )
 from .invariants import SlipValue, f2, f4
 from .critical import criticality_report, scale_to_critical
-from .stabilizer import lie_stabilizer_dim, gtilde_triviality_probe
+from .stabilizer import _CRITICAL_PRE_TOL, _lie_probe, gtilde_triviality_probe
 from .convert import pmax, build_protocol, simulate_protocol
 from .genericity import genericity_report, SearchBudget
 from .io import (
@@ -114,7 +114,8 @@ def cmd_analyze(args) -> int:
     nrm = psi.norm()
     unit = psi.normalized()
     crit = criticality_report(unit, tol=args.tol)
-    probe = lie_stabilizer_dim(unit)
+    # lie_stabilizer_dim, with its criticality test read off this report
+    probe = _lie_probe(unit, crit.max_deviation <= _CRITICAL_PRE_TOL)
     v2 = f2(psi)
     v4 = f4(psi) if psi.n % 2 == 1 and psi.n >= 3 else SlipValue(0.0, 4, defined=False)
     payload = {

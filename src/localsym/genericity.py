@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .states import PureState, make_ghz, make_w, make_ln, make_gabcd, sample_haar_state, derive_rng
 from .critical import criticality_report
-from .stabilizer import gtilde_triviality_probe, lie_stabilizer_dim
+from .stabilizer import _CRITICAL_PRE_TOL, _lie_probe, gtilde_triviality_probe
 
 __all__ = ["SearchBudget", "SampleRecord", "GenericityReport",
            "genericity_report", "benchmark_census"]
@@ -89,7 +89,8 @@ def benchmark_census(seed: int = 0, budget: SearchBudget = SearchBudget()
     rows = []
     for i, (name, psi) in enumerate(battery):
         crit = criticality_report(psi, tol=1e-10)
-        probe = lie_stabilizer_dim(psi)
+        # lie_stabilizer_dim, with its criticality test read off this report
+        probe = _lie_probe(psi, crit.max_deviation <= _CRITICAL_PRE_TOL)
         verdict = gtilde_triviality_probe(
             psi, restarts=budget.restarts,
             seed=int(derive_rng(seed, i).integers(2**31)), tol=budget.tol)

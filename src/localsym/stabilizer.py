@@ -7,8 +7,13 @@ tangent map X -> X|psi>, whose columns are the Pauli images
 with their SVD as the fallback).  The discrete part finds isolated symmetries
 u psi = t psi in SU(2)^n, where every product-operator symmetry of a
 critical state with zero-dimensional stabilizer lies.  Such a u rotates
-the correlation tensors of qubits 1 and k, T_1k(u psi) = R_1 T_1k(psi)
-R_k^T.  So if T_12 has distinct singular values ("pair_exact") the
+the correlation tensors of every pair of qubits, T_jk(u psi) = R_j T_jk(psi)
+R_k^T, at any phase t.  So if the only solutions B of B_j T_jk = T_jk B_k are
+the multiples of (I, ..., I), the commutant of the pair tensors is
+one-dimensional, every R_k = I and u = +-I: one Cholesky of the equations'
+normal matrix certifies psi trivial with no search ("commutant"; Singer's
+rotation synchronization).  Otherwise the search runs on the tensors of
+qubits 1 and k.  If T_12 has distinct singular values ("pair_exact") the
 tensors leave at most 4 candidates, up to factor signs; with one repeated
 value ("pair_circle") they are critical points of two trigonometric
 polynomials on two circles.  Either way an empty result is a complete
@@ -66,7 +71,9 @@ class StabilizerProbe:
     in_c: bool  # critical and zero-dimensional Lie stabilizer
     discrete_candidates: list[tuple[LocalOperatorChain, float]] = field(default_factory=list)
     gtilde_phase_hits: list[tuple[complex, LocalOperatorChain, float]] = field(default_factory=list)
-    start_path: str | None = None  # "pair_exact" | "pair_circle" | "random"; None: no search ran
+    # "commutant" (certified with no search) | "pair_exact" | "pair_circle" | "random";
+    # None: the Lie gate stopped the probe
+    start_path: str | None = None
 
 
 @dataclass
@@ -110,6 +117,55 @@ def lie_stabilizer_dim(psi: PureState) -> StabilizerProbe:
     invariant under local unitaries and qubit permutations.
     """
     return _lie_probe(psi, criticality_report(psi, tol=_CRITICAL_PRE_TOL).is_critical)
+
+
+# ---------------------------------------------------------------------------
+# commutant certificate
+# ---------------------------------------------------------------------------
+
+# Certify dim A = 1 when every direction of M but v has Rayleigh quotient above
+# _COMMUTANT_TAU tr M.  On 2000 Haar states of the census workload (seed 301,
+# rounds 0-999, n = 5 and 6) the null eigenvalue was at most 1e-16 tr M and
+# lambda_2 at least 1.0e-3 tr M; on every planted state with an exact symmetry
+# that reaches the check, lambda_2 was at most 4e-17 tr M.  A near-symmetry with
+# residual delta has lambda_2 = O(n**2 delta**2), far below 1e-8 tr M at the
+# search tol 1e-8, so it fails the check and goes on to the search.  M is
+# quadratic in the T_jk, so an error dC in the Gram matrix moves its eigenvalues
+# by O(n ||dC||) (Weyl): about 1e-16 for rounding.
+_COMMUTANT_TAU = 1e-8
+
+
+def _commutant_matrix(gram: np.ndarray) -> np.ndarray:
+    """The (9n, 9n) normal matrix M of B_j T_jk = T_jk B_k over ordered pairs j != k,
+    rows and columns (qubit, vec B), with T_jk the off-diagonal (3, 3) blocks of a
+    ``pauli_gram`` over gram[0, 0]: blocks -2 T_jk (x) T_jk off the diagonal and
+    I (x) S_j + S_j (x) I on it, S_j = sum_k T_jk T_jk^T (block j of C**2, less I).
+    Built from the T_jk alone, M is zero when they are, M v = 0 for
+    v = (vec I_3)**n, and tr M = 6 sum ||T_jk||**2 = 6 (||C||_F**2 - 3n)."""
+    n = len(gram) // 3
+    t = gram.reshape(n, 3, n, 3) / gram[0, 0]
+    np.einsum("jajb->jab", t)[...] = 0.0  # a writable view of the blocks C_jj
+    u = t.reshape(n, 3, 3 * n)
+    s = u @ u.transpose(0, 2, 1)
+    m = -2.0 * t[:, :, None, :, :, None] * t[:, None, :, :, None, :]  # (j, a, b, k, c, d)
+    np.einsum("jabjad->jabd", m)[...] += s[:, None]  # I (x) S_j
+    np.einsum("jabjcb->jabc", m)[...] += s[:, :, None]  # S_j (x) I
+    return m.reshape(9 * n, 9 * n)
+
+
+def _commutant_is_scalar(gram: np.ndarray) -> bool:
+    """Whether the solutions B of B_j T_jk = T_jk B_k are only the multiples of
+    (I, ..., I): one Cholesky of M + c v v^T - _COMMUTANT_TAU tr(M) I succeeds,
+    with c |v|**2 = tr(M) / 9n lifting M's null vector v to M's mean eigenvalue."""
+    m = _commutant_matrix(gram)
+    n, trace = len(m) // 9, m.trace()
+    m.reshape(n, 9, n, 9)[:, ::4, :, ::4] += trace / (27 * n * n)  # entries 0, 4, 8 of vec I_3
+    m.flat[::9 * n + 1] -= _COMMUTANT_TAU * trace
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +495,18 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
     Gates: (1) scale to the critical representative (null-cone states,
     and states whose scaling ends ill-conditioned because the
     representative it reached is not psi's, are inconclusive); (2) Lie
-    stabilizer must be zero-dimensional; (3) the compact-group search
-    must come up empty; (4) a nonzero degree-2 invariant (even n) pins
-    the admissible global phase to +-1 so step 3 suffices; for odd n a
-    nonzero degree-4 invariant pins the phase to fourth roots of unity
-    and the +-i cases are probed directly.  Witness findings are reported on the critical
+    stabilizer must be zero-dimensional; (3) a one-dimensional commutant
+    of the pair tensors (``_commutant_is_scalar``) leaves only u = +-I at
+    every phase, and the verdict is "trivial" on start path "commutant"
+    with no search; (4) otherwise the compact-group search must come up
+    empty; (5) a nonzero degree-2 invariant (even n) pins the admissible
+    global phase to +-1 so step 4 suffices; for odd n a nonzero degree-4
+    invariant pins the phase to fourth roots of unity and the +-i cases
+    are probed directly.  Witness findings are reported on the critical
     representative, whose stabilizer is conjugate to that of psi.  On
-    start paths "pair_exact" and "pair_circle" step 3 enumerates every
-    candidate, so a "trivial" verdict does not depend on the budget or
-    the seed.
+    start paths "commutant", "pair_exact" and "pair_circle" a "trivial"
+    verdict does not depend on the budget or the seed: the last two
+    enumerate every candidate.
     """
     _require_budget(restarts, seed, tol)
     scaling = scale_to_critical(psi, tol=_REPRESENTATIVE_TOL)
@@ -463,6 +522,9 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
 
     if probe.lie_dim != 0:
         return verdict("non_trivial", "lie_dim")
+    if _commutant_is_scalar(rep.pauli_gram):
+        probe.start_path = "commutant"
+        return verdict("trivial", None)
     # t = 1 (and i, -i at odd n) in one batch; at even n every hit returns at discrete_search
     pin, gate, phases = ((f2, "f2_zero", (1.0,)), (f4, "f4_zero", (1.0, 1j, -1j)))[rep.n % 2]
     hits, probe.start_path = _search(rep, phases, restarts, seed, tol)

@@ -9,7 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from localsym import cli, make_gabcd, make_ghz, make_ln, make_w, sample_haar_state
+from localsym import cli, critical, stabilizer
+from localsym import make_gabcd, make_ghz, make_ln, make_w, sample_haar_state
 from localsym.cli import main
 from localsym.io import chain_from_dict, read_state, write_state, write_chain
 from localsym import LocalOperatorChain
@@ -82,6 +83,22 @@ def test_analyze_envelope(tmp_path, capsys):
     assert payload["lie_dim"] == 0
     assert not payload["f2"]["defined"]
     assert payload["f4"]["defined"]
+
+
+def test_analyze_checks_criticality_once(tmp_path, capsys, monkeypatch):
+    """The reported criticality also decides the Lie probe's precondition."""
+    calls = []
+    for module in (critical, cli, stabilizer):
+        monkeypatch.setattr(module, "criticality_report",
+                            lambda *a, f=module.criticality_report, **kw:
+                            calls.append(1) or f(*a, **kw))
+    for psi in (make_ln(5), make_w(3)):
+        path = tmp_path / "state.json"
+        write_state(psi, path)
+        calls.clear()
+        code, doc = run(["analyze", str(path)], capsys)
+        assert code == 0 and len(calls) == 1
+        assert doc["payload"]["lie_dim"] == (0 if psi.n == 5 else 2)
 
 
 def test_analyze_missing_file_is_input_error(capsys):

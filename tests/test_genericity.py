@@ -1,6 +1,7 @@
 import pytest
 
 from localsym import SearchBudget, genericity_report, benchmark_census
+from localsym import critical, genericity, stabilizer
 
 
 def test_report_reproducible():
@@ -53,3 +54,14 @@ def test_benchmark_census_rows():
     assert by_name["L5"]["failed_gate"] == "phase_search"
     assert by_name["L6"]["gtilde_verdict"] == "inconclusive"
     assert by_name["Psi(1, 2+1j, 3, 0.5)"]["gtilde_verdict"] == "non_trivial"
+
+
+def test_benchmark_census_checks_criticality_once_per_state(monkeypatch):
+    """The row's criticality report also decides the Lie probe's precondition."""
+    calls = []
+    for module in (critical, genericity, stabilizer):
+        monkeypatch.setattr(module, "criticality_report",
+                            lambda *a, f=module.criticality_report, **kw:
+                            calls.append(1) or f(*a, **kw))
+    rows = benchmark_census(seed=0, budget=SearchBudget(restarts=1))
+    assert len(calls) == len(rows) == 10

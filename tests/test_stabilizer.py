@@ -25,7 +25,7 @@ from localsym import (
     sample_haar_state,
 )
 
-from localsym import critical, stabilizer
+from localsym import critical, genericity, stabilizer
 from localsym import states
 from localsym.states import (_PAULIS, _apply_factors, _correlations, _ginibre, _haar_u2,
                              _pauli_images, _pauli_tables, derive_rng)
@@ -269,6 +269,7 @@ def test_probe_never_calls_a_planted_symmetry_trivial(case):
     n, m, k, _ = case
     verdict = gtilde_triviality_probe(planted_state(*case)[0])
     assert verdict.verdict != "trivial"
+    assert verdict.probe is None or verdict.probe.start_path != "commutant"
     invariant, degree = (f2, 2) if n % 2 == 0 else (f4, 4)
     if (k * degree) % (2 * m) and verdict.representative is not None:
         assert abs(invariant(verdict.representative).value) <= 1e-14
@@ -1000,7 +1001,9 @@ def test_probes_build_the_pauli_tables_once():
 def test_census_probes_polish_no_row(n, seed, monkeypatch):
     """Counts, not timings: a self-symmetry search has no identity row on the
     exact path.  On these census states that row started just above the 1e-14
-    stop rule and was polished."""
+    stop rule and was polished.  The commutant certifies them with no search,
+    so it is switched off here to keep the search under test."""
+    monkeypatch.setattr(stabilizer, "_commutant_is_scalar", lambda gram: False)
     polished, polish = [], stabilizer._polish_rows
     monkeypatch.setattr(stabilizer, "_polish_rows",
                         lambda *a: polished.append(len(a[3])) or polish(*a))
@@ -1021,3 +1024,87 @@ def test_self_search_starts_without_the_identity_row():
     for phi, other in ((psi, apply_chain(sample_chain(4, "K", 1), psi)), reps):
         start, path = _starts(phi, other, 32, 0, False)
         assert (path, len(start)) == ("pair_exact", 4)
+
+
+def commutant_spectrum(rep):
+    """Eigenvalues of the probe's commutant matrix M over tr M, and ||M v|| / tr M
+    for v = (vec I_3)**n, the identity of every qubit."""
+    m = stabilizer._commutant_matrix(rep.pauli_gram)
+    v = np.tile(np.eye(3).ravel(), rep.n)
+    return np.linalg.eigvalsh(m) / m.trace(), np.linalg.norm(m @ v) / m.trace()
+
+
+def commutant_dim(rep) -> int:
+    return int(np.sum(commutant_spectrum(rep)[0] <= stabilizer._COMMUTANT_TAU))
+
+
+def representative(psi):
+    return stabilizer.scale_to_critical(psi, tol=stabilizer._REPRESENTATIVE_TOL).representative
+
+
+COMMUTANT_DIMS = {"L4": (make_ln(4), 9), **{f"L{n}": (make_ln(n), 5) for n in range(5, 9)},
+                  "gabcd": (make_gabcd(1, 2 + 1j, 3, 0.5), 3),
+                  **{f"haar{n}-{seed}": (sample_haar_state(n, 60 + seed), 3 if n == 4 else 1)
+                     for n in range(4, 9) for seed in range(2)}}
+
+
+@pytest.mark.parametrize("psi,dim", COMMUTANT_DIMS.values(), ids=COMMUTANT_DIMS.keys())
+def test_commutant_dimension_of_named_states(psi, dim):
+    """dim A of the pair-tensor commutant: the Klein group's three idempotent
+    directions at n = 4 (Haar, gabcd), the diag(a, conj a) circle of L5-L8, and
+    one dimension, the identity alone, for Haar states at n >= 5.  M v = 0."""
+    rep = representative(psi)
+    _, null_residual = commutant_spectrum(rep)
+    assert commutant_dim(rep) == dim
+    assert null_residual <= 1e-14
+    assert stabilizer._commutant_is_scalar(rep.pauli_gram) == (dim == 1)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(4, 7), st.integers(0, 2**31 - 1))
+def test_commutant_outcome_invariant_under_local_unitaries_and_permutations(n, seed):
+    """A local unitary rotates every T_jk and a permutation relabels the pairs, so
+    neither changes dim A or whether the certificate holds."""
+    rep = representative(sample_haar_state(n, seed))
+    rng = derive_rng(seed, 1)
+    rotated = PureState(n, _apply_factors(_haar_u2(_ginibre(rng, (n,)), True), rep.amplitudes))
+    perm = rng.permutation(n)
+    permuted = PureState(n, rep.tensor().transpose(perm).reshape(-1))
+    outcome = stabilizer._commutant_is_scalar(rep.pauli_gram), commutant_dim(rep)
+    for moved in (rotated, permuted):
+        assert (stabilizer._commutant_is_scalar(moved.pauli_gram), commutant_dim(moved)) == outcome
+
+
+def test_certified_probe_runs_no_search(monkeypatch):
+    """Counts, not timings: a certified census probe starts, aligns, polishes and
+    pins nothing, and gathers Pauli images only in its scaling."""
+    psi = sample_haar_state(5, 1)
+    gathered = []
+    for module in (states, critical, stabilizer):
+        monkeypatch.setattr(module, "_pauli_images",
+                            lambda *a, f=module._pauli_images: gathered.append(1) or f(*a))
+    representative(psi)
+    scaling_gathers, gathered[:] = len(gathered), []
+    called = []
+    for name in ("_starts", "_align", "_polish_rows", "f2", "f4"):
+        monkeypatch.setattr(stabilizer, name, lambda *a, name=name: called.append(name))
+    verdict = gtilde_triviality_probe(psi)
+    assert (verdict.verdict, verdict.failed_gate, verdict.probe.start_path) == (
+        "trivial", None, "commutant")
+    assert called == []
+    assert len(gathered) == scaling_gathers
+
+
+def test_seed_2030_census_record_is_certified(monkeypatch):
+    """One T_13 of cond 1.3e6 sent this census state to the random path, where it
+    polished 96 rows; the commutant certifies it with none."""
+    polished, verdicts = [], []
+    polish, probe = stabilizer._polish_rows, genericity.gtilde_triviality_probe
+    monkeypatch.setattr(stabilizer, "_polish_rows",
+                        lambda *a: polished.append(len(a[3])) or polish(*a))
+    monkeypatch.setattr(genericity, "gtilde_triviality_probe",
+                        lambda *a, **kw: verdicts.append(probe(*a, **kw)) or verdicts[-1])
+    (record,) = genericity_report(5, 1, seed=2030).records
+    assert (record.gtilde_verdict, record.failed_gate) == ("trivial", None)
+    assert verdicts[0].probe.start_path == "commutant"
+    assert polished == []
