@@ -162,7 +162,7 @@ def find_connector(psi: PureState, phi: PureState, restarts: int = 32,
     """Search for an invertible chain g with g psi = phi (up to phase).
 
     Both states are scaled to their critical representatives (tol 1e-11,
-    as in the probe), a U(2)^n chain u aligns them up to phase by the
+    as in the probe), an SU(2)^n chain u aligns them at a free phase by the
     symmetry search's Gauss-Newton polish from its starts (restarts >= 1
     and seed >= 0 are checked on entry), and g = (s_psi / s_phi) B^-1 u A
     is built from the scaling chains A, B and their scalars.  Success is certified by

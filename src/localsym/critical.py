@@ -20,12 +20,12 @@ by ``t.T.reshape(2, -1)`` or, with a factor, by ``states._apply_next``.
 Deviation from I/2 and flattening factor are closed forms in the
 moments, so no eigensolver runs; outside the Newton range the convergence
 check stops at the first qubit outside tolerance.  In the Newton range one
-gather of ``states._pauli_images`` per iterate gives its Gram matrix C, its
-Bloch vectors and ||t||**2 = C[0, 0]: the check reads every qubit's
-deviation off the Bloch vectors, the Newton step its gradient and Hessian,
-the trajectory the entry sqrt(C[0, 0]), and a converged representative
-keeps C / ||t||**2 as its ``pauli_gram``, which the Lie probe and the T_1k
-read.
+``states._gram_and_bloch`` per iterate gives its Gram matrix C / ||t||**2,
+its Bloch vectors and ||t||**2: the check reads every qubit's deviation off
+the Bloch vectors, the Newton step its gradient and Hessian, the trajectory
+||t||, and a converged representative keeps the Gram matrix as its
+``pauli_gram``, the property's own definition, which the Lie probe, the
+commutant and the T_1k read.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .states import (
     _apply_factors,
     _apply_next,
     _det_rejected,
+    _gram_and_bloch,
     _moments,
-    _pauli_images,
     _require_normalized,
     _vector_norm,
 )
@@ -125,20 +125,6 @@ def _flattening_factor(a: float, b: float, c: complex) -> np.ndarray | None:
     scale = 1.0 / (math.sqrt(root) * math.sqrt(s + 2 * root))
     return np.array([[(b + root) * scale, -c * scale],
                      [-c.conjugate() * scale, (a + root) * scale]])
-
-
-def _gram_and_bloch(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(C / ||t||**2, r, ||t||**2) from one gather of the Pauli images P of the
-    amplitudes t: the read-only Gram matrix C = Re P P^T over ||t||**2, the Bloch
-    vectors r = Re P t* / ||t||**2 (row 3k + a is <sigma_a on qubit k>) and
-    ||t||**2 = C[0, 0], as sigma_x is unitary."""
-    flat = t.reshape(-1)
-    images = _pauli_images(flat).view(float)
-    gram = images @ images.T
-    sq_norm = gram[0, 0]
-    unit_gram = gram / sq_norm
-    unit_gram.setflags(write=False)
-    return unit_gram, images @ flat.view(float) / sq_norm, float(sq_norm)
 
 
 def _newton_factors(gram: np.ndarray, r: np.ndarray) -> np.ndarray | None:
@@ -231,7 +217,7 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
                 status = "ill_conditioned"
             else:
                 rep, scalar = PureState(n, amp), 1.0 / nrm
-                if gathered is not None:  # the Lie gate, _starts and find_connector read it
+                if gathered is not None:  # C / ||t||**2, as the property would compute it
                     vars(rep)["pauli_gram"] = gathered[0]
         return ScalingResult(rep, chain, complex(scalar), iterations, status, trajectory)
 

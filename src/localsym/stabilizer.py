@@ -19,9 +19,11 @@ value ("pair_circle") they are critical points of two trigonometric
 polynomials on two circles.  Either way an empty result is a complete
 enumeration.  Otherwise the starts are Haar-random ("random"), and an
 empty result is numerical evidence at the given budget, not a proof.
-``_align`` (also used by ``convert``) applies all starts once, for all
-phases t = 1, i, -i at odd n, and polishes the rows off a hit as one batch
-of Gauss-Newton steps; ``_search`` keeps the residual ``_align`` returns.
+``_align`` (also used by ``convert``) applies all starts, SU(2)^n rows, once,
+for all phases t = 1, i, -i at odd n or a free t (absorbing each factor's U(1)),
+and polishes the rows off a hit as one batch of Gauss-Newton steps; ``_search``
+keeps the residual ``_align`` returns and, as hits a small sign-aligned distance
+apart have phases equal up to sign, drops +-I and merges near-duplicates at any t.
 """
 
 from __future__ import annotations
@@ -138,12 +140,12 @@ _COMMUTANT_TAU = 1e-8
 def _commutant_matrix(gram: np.ndarray) -> np.ndarray:
     """The (9n, 9n) normal matrix M of B_j T_jk = T_jk B_k over ordered pairs j != k,
     rows and columns (qubit, vec B), with T_jk the off-diagonal (3, 3) blocks of a
-    ``pauli_gram`` over gram[0, 0]: blocks -2 T_jk (x) T_jk off the diagonal and
+    ``pauli_gram``: blocks -2 T_jk (x) T_jk off the diagonal and
     I (x) S_j + S_j (x) I on it, S_j = sum_k T_jk T_jk^T (block j of C**2, less I).
     Built from the T_jk alone, M is zero when they are, M v = 0 for
     v = (vec I_3)**n, and tr M = 6 sum ||T_jk||**2 = 6 (||C||_F**2 - 3n)."""
     n = len(gram) // 3
-    t = gram.reshape(n, 3, n, 3) / gram[0, 0]
+    t = gram.reshape(n, 3, n, 3).copy()
     np.einsum("jajb->jab", t)[...] = 0.0  # a writable view of the blocks C_jj
     u = t.reshape(n, 3, 3 * n)
     s = u @ u.transpose(0, 2, 1)
@@ -194,13 +196,14 @@ def _polish_rows(psi: np.ndarray, target: np.ndarray, phases: np.ndarray | None,
     exp(-i x_k.sigma / 2) u, chi moves by -(i/2) x.P for P its Pauli images, so
     a step is the least-squares x = -2 C^+ g, g = Re P^dag(i r), C the real Gram
     matrix of P and r = chi - t target, with model residual ||r||^2 + x.g / 2,
-    scaled to max_k |x_k| <= pi/2.  With phases None (U(2)^n), t_r is re-read
-    each step as the phase of <target|chi>: i chi is orthogonal to every Pauli
-    image.  A row stops below 1e-14, after 8 steps without a 1e-3 relative fall
-    below its best residual (steps are not monotone: rounding noise at the floor
-    must not reset the count), after a step whose model could not lower it by
-    1e-3 (stationary: r nearly orthogonal to P, as at a connector's floor), or
-    at 1000 steps.
+    scaled to max_k |x_k| <= pi/2.  With phases None, t_r is re-read each step as
+    the phase of <target|chi> (i chi is orthogonal to every Pauli image), and as C
+    and g do not change under chi -> e^(i alpha) chi, SU(2)^n steps fit over U(2)^n.
+    A row stops below 1e-14, after 8 steps without a 1e-3 relative fall below its
+    best residual (steps are not monotone: rounding noise at the floor must not
+    reset the count), after a step whose model could not lower it by 1e-3
+    (stationary: r nearly orthogonal to P, as at a connector's floor), or at 1000
+    steps.
     """
     free = phases is None
     t = np.exp(1j * np.angle(chi @ target.conj())) if free else phases
@@ -302,8 +305,8 @@ def _critical_angles(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([theta[ok], np.zeros(lone.size)])[order], row[order]
 
 
-def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
-            special: bool) -> tuple[np.ndarray, str]:
+def _starts(psi: PureState, target: PureState, restarts: int, seed: int
+            ) -> tuple[np.ndarray, str]:
     """Start rows (rows, n, 2, 2) aligning psi with target, and their path.
 
     With T_12(psi) = A S B^T and T_12(target) = A' S B'^T, R_1 = A' P A^T
@@ -317,14 +320,14 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
     (rows, 5) @ (5, 9n) product.  h = sum_k ||R_k^T R_k - I||^2 (zero at a
     symmetry) and, if h = 0, q = |<target|u psi>|^2 (one at a symmetry) have
     degree D = max(n, 4): the rows are their critical points.  Random row r:
-    derive_rng(seed, r).
+    Haar SU(2)^n factors from derive_rng(seed, r), at a free phase too.
     """
     src = _correlations(psi.pauli_gram)
     a, s, _ = np.linalg.svd(src)  # of every T_1k; T_12 is index 0
     equal = -np.diff(s[0]) <= _GAP_TOL * s[0, 0]
     if equal.all() or not np.all(s[:, -1] * _COND_TOL > s[:, 0]):
         return _haar_u2(np.stack([_ginibre(derive_rng(seed, r), (psi.n,))
-                                  for r in range(restarts)]), special), "random"
+                                  for r in range(restarts)]), True), "random"
     path = "pair_circle" if equal.any() else "pair_exact"
     dst = src if target is psi else _correlations(target.pauli_gram)
     a, s, a2 = a[0], s[0], a[0] if target is psi else np.linalg.svd(dst[0])[0]
@@ -360,8 +363,8 @@ def _starts(psi: PureState, target: PureState, restarts: int, seed: int,
 
 def _align(psi: PureState, target: PureState, phases, restarts: int, seed: int,
            special: bool) -> tuple[np.ndarray, np.ndarray, str]:
-    """Minimize ||u psi - t target|| over SU(2)^n, or over U(2)^n and the
-    phase t, by ``_polish_rows`` from ``_starts``.
+    """Minimize ||u psi - t target|| over u in SU(2)^n at each phase t of ``phases``
+    if special, else at a free t (over U(2)^n), by ``_polish_rows`` from ``_starts``.
 
     Every phase reads the same start rows, applied once.  On the exact and
     circle paths they are every candidate, and a row that does not start
@@ -373,7 +376,7 @@ def _align(psi: PureState, target: PureState, phases, restarts: int, seed: int,
     so chunks of ``_BATCH_BYTES`` change no row.  Callers check restarts >= 1.
     """
     phases = np.asarray(phases, dtype=complex)
-    start, path = _starts(psi, target, restarts, seed, special)
+    start, path = _starts(psi, target, restarts, seed)
     factors = np.tile(start, (phases.size, 1, 1, 1, 1))
     residuals = np.full((phases.size, len(start)), np.inf)
     chunk = max(1, _BATCH_BYTES // (16 * 3 * psi.n * psi.dim * phases.size))
@@ -381,7 +384,7 @@ def _align(psi: PureState, target: PureState, phases, restarts: int, seed: int,
     for lo in range(0, len(start), chunk):
         chi = _apply_factors(start[lo:lo + chunk], psi.amplitudes)
         ov = chi @ target.amplitudes.conj()
-        # U(2)^n absorbs any phase, SU(2)^n a sign: -u_1 is in SU(2)
+        # a free t absorbs any phase, a fixed t a sign: -u_1 is in SU(2)
         t = np.outer(phases, np.ones(len(ov))) if special else np.exp(1j * np.angle(ov))[None]
         fit = (t.conj() * ov).real / norms
         live = (abs(fit) > 1.0 - _CANDIDATE_OVERLAP) | (path == "random")
@@ -417,21 +420,20 @@ def _require_budget(restarts: int, seed: int, tol: float | None = None) -> None:
 def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
             ) -> tuple[list[tuple[complex, LocalOperatorChain, float]], str]:
     """Hits (t, u, ||u psi - t psi||) below tol in phase order, with ``_align``'s
-    residuals, and the path.  Rows near the identity are dropped for t = +-1, a row
-    near a hit kept before it at its phase is merged; only kept hits become chains.
+    residuals, and the path.  At any phase a row within _IDENTITY_EXCLUSION_RADIUS of
+    +-I is dropped and one within _DEDUP_RADIUS of a hit kept before it is merged:
+    such chains differ by factor signs, so their phases by +-1.  Only kept hits
+    become chains.
     """
     all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, True)
     p, r = np.nonzero(all_residuals < tol)
     if not p.size:
         return [], path
-    fac, t, res = all_factors[p, r], np.asarray(phases, dtype=complex)[p], all_residuals[p, r]
-    # -I on one qubit gives u psi = -psi
-    trivial = (abs(t * t - 1.0) <= 1e-12) & (
-        _chain_distance(fac, np.eye(2)) <= _IDENTITY_EXCLUSION_RADIUS)
-    left, kept = ~trivial, []
+    fac, res = all_factors[p, r], all_residuals[p, r]
+    left, kept = _chain_distance(fac, np.eye(2)) > _IDENTITY_EXCLUSION_RADIUS, []
     while left.any():  # the first row left is kept and merges its near-duplicates
         kept.append(np.argmax(left))
-        left &= (p != p[kept[-1]]) | (_chain_distance(fac, fac[kept[-1]]) >= _DEDUP_RADIUS)
+        left &= _chain_distance(fac, fac[kept[-1]]) >= _DEDUP_RADIUS
     return [(phases[p[i]], LocalOperatorChain(fac[i], "K"), float(res[i])) for i in kept], path
 
 
@@ -441,8 +443,8 @@ def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0
 
     Requires a critical state with zero-dimensional Lie stabilizer, so
     every product-operator symmetry is isolated and unitary.  Chains
-    within the sign-aligned identity-exclusion radius are dropped;
-    near-duplicates are merged.
+    within the sign-aligned identity-exclusion radius of +-I are dropped;
+    near-duplicates, which differ by factor signs, are merged.
     """
     return phase_stabilizer_search(psi, 1.0, restarts, seed, tol)
 
@@ -455,9 +457,9 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     A hit exhibits a product symmetry of psi up to the global phase t,
     i.e. a GL-chain symmetry after relocating the scalar into one tensor
     factor.  With t = 1 this is the discrete search, under the same
-    preconditions (a ValueError names the one that fails).  At t = +-1
-    chains within the identity-exclusion radius are dropped: -I on one
-    qubit gives u psi = -psi for every state.
+    preconditions (a ValueError names the one that fails).  At every t chains
+    within the identity-exclusion radius of +-I are dropped: -I on one qubit
+    gives u psi = -psi for every state, a hit at any t near +-1.
     """
     if not abs(abs(t) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"phase must have unit modulus, got |t| = {abs(t)}")
@@ -502,7 +504,8 @@ def gtilde_triviality_probe(psi: PureState, restarts: int = 32,
     empty; (5) a nonzero degree-2 invariant (even n) pins the admissible
     global phase to +-1 so step 4 suffices; for odd n a nonzero degree-4
     invariant pins the phase to fourth roots of unity and the +-i cases
-    are probed directly.  Witness findings are reported on the critical
+    are probed directly, each witness once (its -i sign mirror merged into
+    the i hit).  Witness findings are reported on the critical
     representative, whose stabilizer is conjugate to that of psi.  On
     start paths "commutant", "pair_exact" and "pair_circle" a "trivial"
     verdict does not depend on the budget or the seed: the last two

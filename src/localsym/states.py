@@ -9,9 +9,9 @@ Conventions used throughout the package:
   of 2x2 matrices; the full 2**n x 2**n matrix is never materialized.
 * ``_apply_next``, one matmul that also rolls the next qubit into the rows (a
   plain 2-D ``np.dot`` for one factor on one state), applies every 2x2 factor;
-  one gather of Pauli images (``_pauli_images``) gives, by their Gram matrix,
-  the Lie spectrum, the T_1k and the Newton Hessian, and with the state the
-  Bloch vectors of the Newton-range convergence check.
+  one gather of Pauli images (``_pauli_images``) gives, by ``_gram_and_bloch``,
+  the normalized state's Gram matrix (the Lie spectrum, the T_jk, the Newton
+  Hessian) and Bloch vectors (the Newton-range convergence check).
 """
 
 from __future__ import annotations
@@ -113,11 +113,8 @@ class PureState:
 
     @cached_property
     def pauli_gram(self) -> np.ndarray:
-        """C = Re P P^dag, the real, read-only (3n, 3n) Gram matrix of the Pauli images P."""
-        im = _pauli_images(self.amplitudes).view(float)
-        gram = im @ im.T
-        gram.setflags(write=False)
-        return gram
+        """C / ||psi||**2, C = Re P P^dag, the read-only Pauli Gram matrix of psi normalized."""
+        return _gram_and_bloch(self.amplitudes)[0]
 
     def normalized(self) -> "PureState":
         big = np.max(np.abs(self.amplitudes))
@@ -310,10 +307,24 @@ def _pauli_images(amp: np.ndarray) -> np.ndarray:
     return images.reshape(amp.shape[:-1] + (-1, amp.shape[-1]))
 
 
+def _gram_and_bloch(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(C / ||amp||**2, r, ||amp||**2) from one gather of the Pauli images P of the
+    amplitudes: the read-only Gram matrix C = Re P P^T over ||amp||**2 (I_3 on its
+    diagonal blocks, the T_jk off them), the Bloch vectors r = Re P amp* / ||amp||**2
+    (row 3k + a is <sigma_a on qubit k>) and ||amp||**2 = C[0, 0], as sigma_x is unitary."""
+    flat = amp.reshape(-1)
+    images = _pauli_images(flat).view(float)
+    gram = images @ images.T
+    sq_norm = gram[0, 0]
+    unit_gram = gram / sq_norm
+    unit_gram.setflags(write=False)
+    return unit_gram, images @ flat.view(float) / sq_norm, float(sq_norm)
+
+
 def _correlations(gram: np.ndarray) -> np.ndarray:
     """T_1k[a, b] = <sigma_a (x) sigma_b> on qubits 1 and k, k = 2..n, of the normalized
-    state: (n - 1, 3, 3) blocks of its ``PureState.pauli_gram``, over gram[0, 0] = ||amp||**2."""
-    return gram[:3, 3:].reshape(3, -1, 3).swapaxes(0, 1) / gram[0, 0]
+    state: (n - 1, 3, 3) blocks of its ``PureState.pauli_gram``."""
+    return gram[:3, 3:].reshape(3, -1, 3).swapaxes(0, 1)
 
 
 def reduced_density(psi: PureState, k: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from localsym import (
     LocalOperatorChain,
@@ -236,17 +236,37 @@ def test_find_connector_on_pairs_random_starts_missed(n, psi_seed, g_seed):
     assert fidelity(apply_chain(g, psi), phi) > 1 - 1e-8
 
 
+def assert_connects(psi, phi, **budget):
+    g = find_connector(psi, phi, **budget)
+    assert g is not None
+    assert fidelity(apply_chain(g, psi), phi) > 1 - 1e-8
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(3, 8), st.integers(0, 2**31 - 1))
+@example(3, 0)
+@example(3, 1)
+@example(3, 2)
+@example(3, 3)
+@example(3, 4)
+@example(3, 5)
+@example(3, 6)
+@example(3, 7)
+@example(3, 8)
+@example(3, 9)
 def test_find_connector_on_random_g_orbits(n, seed):
     """phi = g psi / ||g psi|| is connected to psi by construction.  At n = 3
     the stabilizer is positive-dimensional, so the Gram matrix of the Pauli
-    images that the polish inverts is singular."""
+    images that the polish inverts is singular, and the starts are Haar SU(2)^n
+    rows at a free phase."""
     psi = sample_haar_state(n, seed)
-    phi = apply_chain(sample_chain(n, "G", seed + 1), psi).normalized()
-    g = find_connector(psi, phi)
-    assert g is not None
-    assert fidelity(apply_chain(g, psi), phi) > 1 - 1e-8
+    assert_connects(psi, apply_chain(sample_chain(n, "G", seed + 1), psi).normalized())
+
+
+def test_find_connector_on_an_l4_g_orbit():
+    """T_12 of L4 is proportional to the identity, so its starts are Haar rows."""
+    psi = make_ln(4)
+    assert_connects(psi, apply_chain(sample_chain(4, "G", 400), psi).normalized(), restarts=32)
 
 
 def test_connector_row_at_the_rounding_floor_stops(monkeypatch):

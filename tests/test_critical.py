@@ -15,10 +15,10 @@ from localsym import (
     make_w,
     sample_haar_state,
 )
-from localsym import critical, find_connector, gtilde_triviality_probe
-from localsym.critical import _flattening_factor, _gram_and_bloch, _newton_factors
+from localsym import critical, find_connector, gtilde_triviality_probe, states
+from localsym.critical import _flattening_factor, _newton_factors
 from localsym.io import chain_from_dict, chain_to_dict
-from localsym.states import _moments, _pauli_tables
+from localsym.states import _gram_and_bloch, _moments, _pauli_tables
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all, near_null_cone_state
 
@@ -184,6 +184,16 @@ def reference_newton_factors(amp, n):
         w, v = np.linalg.eigh(sum(c * s for c, s in zip(xk, PAULIS)))
         factors.append((v * np.exp(w / 2)) @ v.conj().T)
     return factors
+
+
+@pytest.mark.parametrize("entry", ["gram", "bloch"])
+def test_newton_factors_reject_a_non_finite_step(entry):
+    """A NaN in the Gram matrix or the Bloch vectors solves without a LinAlgError
+    to a NaN step, which gives no factors."""
+    gram, r = np.eye(6), np.full(6, 0.1)
+    (gram if entry == "gram" else r)[2] = np.nan
+    assert np.isnan(np.linalg.solve(gram - r[:, None] * r, -r)).any()
+    assert _newton_factors(gram, r) is None
 
 
 def reference_scaling(psi, tol, max_iter):
@@ -482,8 +492,8 @@ def test_newton_range_scaling_gathers_once_per_checked_iterate(monkeypatch):
     moment), each iterate the check reads is gathered once, at the step's
     acceptance test or, for the input, at the first check; max_iter exits too."""
     gathered, moments = [], []
-    images, kernel = critical._pauli_images, critical._moments
-    monkeypatch.setattr(critical, "_pauli_images", lambda a: gathered.append(1) or images(a))
+    images, kernel = states._pauli_images, critical._moments
+    monkeypatch.setattr(states, "_pauli_images", lambda a: gathered.append(1) or images(a))
     monkeypatch.setattr(critical, "_moments", lambda t: moments.append(1) or kernel(t))
     for n in range(4, 9):
         for seed in range(4):

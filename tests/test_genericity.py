@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from localsym import SearchBudget, genericity_report, benchmark_census
 from localsym import critical, genericity, stabilizer
+from localsym.cli import main
 
 
 def test_report_reproducible():
@@ -38,6 +41,24 @@ def test_report_input_validation():
         genericity_report(1, 5)
     with pytest.raises(ValueError):
         genericity_report(4, 0)
+
+
+def test_record_of_a_sample_with_no_representative(monkeypatch, tmp_path):
+    """A census sample whose scaling ends without a representative has no probe:
+    its record carries nulls, and the CLI writes them and exits 0."""
+    scale = stabilizer.scale_to_critical
+    monkeypatch.setattr(stabilizer, "scale_to_critical",
+                        lambda psi, tol: scale(psi, tol=tol, max_iter=0))
+    (record,) = genericity_report(4, 1, seed=3).records
+    assert record == genericity.SampleRecord(0, None, None, 0, "inconclusive",
+                                             "critical_scaling:max_iter")
+    out = tmp_path / "report.json"
+    assert main(["genericity", "--n", "4", "--samples", "1", "--seed", "3",
+                 "--out", str(out)]) == 0
+    (written,) = json.loads(out.read_text())["payload"]["records"]
+    assert written == {"index": 0, "lie_dim": None, "smallest_singular_value": None,
+                       "discrete_candidate_count": 0, "gtilde_verdict": "inconclusive",
+                       "failed_gate": "critical_scaling:max_iter"}
 
 
 def test_benchmark_census_rows():

@@ -84,6 +84,11 @@ def test_f4_even_n_raises():
         f4(sample_haar_state(4, 0))
 
 
+def test_f4_rejects_one_qubit():
+    with pytest.raises(ValueError, match="need at least 3 qubits"):
+        f4(PureState(1, np.array([1.0, 0.0])))
+
+
 def test_f4_named_values():
     assert abs(f4(make_w(5)).value) < 1e-12
     assert abs(f4(make_ghz(5)).value + 0.25) < 1e-12

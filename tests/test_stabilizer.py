@@ -141,9 +141,13 @@ def test_phase_search_rejects_non_finite_phase(t):
 
 
 def test_phase_search_t1_excludes_identity():
-    psi = make_ln(5)
-    hits = phase_stabilizer_search(psi, 1.0, restarts=8, seed=0)
-    assert hits == []
+    """+-I on every factor is trivial at any phase: near t = +-1 it is a hit
+    (1e-25 from I at t = e^(1e-9 i)) and must not be reported as a witness."""
+    for t in (1.0, np.exp(1e-9j), np.exp(-1e-12j), -np.exp(1e-9j)):
+        assert phase_stabilizer_search(make_ln(5), t, restarts=8, seed=0) == []
+    near = [c.factors for c, _ in phase_stabilizer_search(make_ln(4), np.exp(1e-9j))]
+    assert np.all(_chain_distance(np.stack(near), np.eye(2)) > _IDENTITY_EXCLUSION_RADIUS)
+    assert_same_chains(near, [c.factors for c, _ in discrete_stabilizer_search(make_ln(4))])
 
 
 def test_adjoint_closure_on_witness():
@@ -371,7 +375,7 @@ def test_search_rows_do_not_depend_on_batch_size(seed):
 def l5_hit_row():
     """The circle-path start row of L5 on its hit at t = i."""
     psi = make_ln(5)
-    start, path = _starts(psi, psi, 32, 0, True)
+    start, path = _starts(psi, psi, 32, 0)
     assert path == "pair_circle"
     return psi, start[np.argmax((-1j * _apply_factors(start, psi.amplitudes)
                                  @ psi.amplitudes.conj()).real)]
@@ -430,7 +434,7 @@ def test_align_residual_is_that_of_the_returned_factors(case, chunked, monkeypat
          else np.exp(1j * np.angle(chi @ target.amplitudes.conj())))
     check = np.linalg.norm(chi - t[:, None] * target.amplitudes, axis=1)
     assert p.size and check.tobytes() == residuals[p, r].tobytes()
-    start = _starts(psi, target, restarts, 0, special)[0][r]
+    start = _starts(psi, target, restarts, 0)[0][r]
     kept = np.all(factors[p, r, 1:] == start[:, 1:], axis=(1, 2, 3))
     if path == "pair_circle":  # rows at -t start at t with factor 0 negated
         assert np.any(kept & np.all(factors[p, r, 0] == -start[:, 0], axis=(1, 2)))
@@ -459,7 +463,7 @@ def test_l4_random_path_witnesses():
     a, b = 1j / np.sqrt(3), 1 / np.sqrt(2) + 1j / np.sqrt(6)
     expected = [np.stack([w] * 4) for w in
                 (su2(a, b), su2(-a, 1j * np.sqrt(2 / 3)), su2(a, -np.conj(b)))]
-    assert _starts(make_ln(4), make_ln(4), 32, 0, True)[1] == "random"
+    assert _starts(make_ln(4), make_ln(4), 32, 0)[1] == "random"
     assert_same_chains([c.factors for c, _ in discrete_stabilizer_search(make_ln(4))], expected)
 
 
@@ -579,7 +583,7 @@ def test_ln_phase_witness_at_seeds_where_random_starts_missed(n, seed):
                                       (make_ln(4), "random")],
                          ids=["gabcd", "L5", "L7", "L4"])
 def test_start_paths(psi, path):
-    assert _starts(psi, psi, 8, 0, True)[1] == path
+    assert _starts(psi, psi, 8, 0)[1] == path
 
 
 @settings(max_examples=5, deadline=None)
@@ -660,7 +664,7 @@ def test_circle_path_finds_the_exact_paths_symmetries(index, monkeypatch):
     sv = np.linalg.svd(_correlations(rep.pauli_gram)[0], compute_uv=False)
     gaps = -np.diff(sv) / sv[0]
     monkeypatch.setattr(stabilizer, "_GAP_TOL", np.sqrt(gaps[0] * gaps[1]))
-    assert _starts(rep, rep, 32, 0, True)[1] == "pair_circle"
+    assert _starts(rep, rep, 32, 0)[1] == "pair_circle"
     found = discrete_stabilizer_search(rep)
     assert_same_chains([c.factors for c, _ in found],
                        [c.factors for c, _ in verdict.probe.discrete_candidates])
@@ -788,7 +792,7 @@ def test_circle_starts_lift_twice_and_solve_in_the_period(n, monkeypatch):
     psi = make_ln(n)
     sys.setprofile(count)
     try:
-        start, path = _starts(psi, psi, 32, 0, True)
+        start, path = _starts(psi, psi, 32, 0)
     finally:
         sys.setprofile(None)
     assert path == "pair_circle" and len(start) == 2 * n + 1
@@ -838,15 +842,14 @@ def test_hits_are_conjugated_by_local_unitaries(seed):
 
 def per_row_hits(psi, phases, all_factors, all_residuals, tol):
     """The hit check row by row, in the order _search keeps: the reference
-    for its one pass."""
-    hits = []
+    for its one pass.  Neither rule reads the phase: a row near +-I is trivial
+    at any phase, and a row near a hit kept at any phase is its sign mirror."""
+    hits, found = [], []
     for t, factors, residuals in zip(phases, all_factors, all_residuals):
-        exclude_identity = abs(t * t - 1.0) <= 1e-12
-        found = []
         for fac, residual in zip(factors, residuals):
             if residual >= tol:
                 continue
-            if exclude_identity and _chain_distance(fac, np.eye(2)) <= _IDENTITY_EXCLUSION_RADIUS:
+            if _chain_distance(fac, np.eye(2)) <= _IDENTITY_EXCLUSION_RADIUS:
                 continue
             if any(_chain_distance(fac, kept.factors) < _DEDUP_RADIUS for kept in found):
                 continue
@@ -876,6 +879,39 @@ def test_one_pass_hit_check_matches_per_row_loop(name, seed):
             assert abs(check - ref_check) <= 1e-14
         found += len(hits)
     assert found or name in ("L6", "L8")  # even L_n have no hit at these phases
+
+
+# odd-n states whose probe reaches the search, with the phases of its hits: L5
+# and L7, whose -i hits are their i hits with factor 0 negated, and planted
+# states with hits at i only, at -i only, at 1, i and -i, and at none
+ODD_SEARCH_STATES = {"L5": (make_ln(5), {1j}), "L7": (make_ln(7), {1j}),
+                     "n5-m4-k1-s2": (planted_state(5, 4, 1, 2)[0], {1j}),
+                     "n7-m2-k3-s2": (planted_state(7, 2, 3, 2)[0], {-1j}),
+                     "n7-m4-k2-s3": (planted_state(7, 4, 2, 3)[0], {1.0, 1j, -1j}),
+                     "n5-m3-k2-s3": (planted_state(5, 3, 2, 3)[0], set())}
+
+
+@pytest.mark.parametrize("psi,phases", ODD_SEARCH_STATES.values(), ids=ODD_SEARCH_STATES.keys())
+def test_odd_n_search_merges_only_sign_mirrors(psi, phases):
+    """At odd n the probe searches t = 1, i and -i in one batch, and a hit
+    within _DEDUP_RADIUS of one kept at another phase (its factor signs flipped,
+    so t flipped) is merged into it.  The kept hits are pairwise farther apart
+    than _DEDUP_RADIUS, and every hit of a single-phase search at +-i, at the
+    probe's budget and seed, lies within _DEDUP_RADIUS of one of them."""
+    verdict = gtilde_triviality_probe(psi)
+    rep, budget = verdict.representative, (verdict.restarts, 0, verdict.tol)
+    hits, path = stabilizer._search(rep, (1.0, 1j, -1j), *budget)
+    assert path == verdict.probe.start_path != "commutant"
+    assert {t for t, _, _ in hits} == phases
+    if verdict.failed_gate == "phase_search":
+        assert [(t, c.factors.tobytes()) for t, c, _ in hits] == [
+            (t, c.factors.tobytes()) for t, c, _ in verdict.probe.gtilde_phase_hits]
+    kept = np.array([c.factors for _, c, _ in hits]).reshape(-1, rep.n, 2, 2)
+    for i in range(len(kept)):
+        assert np.all(_chain_distance(kept[:i], kept[i]) >= _DEDUP_RADIUS)
+    for t in (1j, -1j):
+        for chain, _ in phase_stabilizer_search(rep, t, *budget):
+            assert len(kept) and np.min(_chain_distance(kept, chain.factors)) < _DEDUP_RADIUS
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -917,13 +953,15 @@ def test_search_call_counts(monkeypatch):
     images, as the Lie gate and the starts read the Gram matrix the scaling
     seeded, and _align applies its start rows once
     (test_circle_rows_start_on_their_hits pins that no L_n row is polished)."""
-    gathered = []
-    # past the scaling: a critical input's first check gathers t, which may equal
-    # the representative bit for bit (gabcd does)
+    gathered, scale = [], stabilizer.scale_to_critical
     for module in (states, stabilizer):
         monkeypatch.setattr(module, "_pauli_images",
                             lambda a, *rest, f=module._pauli_images:
                             gathered.append(a.copy()) or f(a, *rest))
+    # past the scaling: a critical input's first check gathers t, which may equal
+    # the representative bit for bit (gabcd does)
+    monkeypatch.setattr(stabilizer, "scale_to_critical",
+                        lambda *a, **kw: (scale(*a, **kw), gathered.clear())[0])
     for psi in (make_ln(5), make_gabcd(1, 2 + 1j, 3, 0.5), sample_haar_state(5, 1),
                 sample_haar_state(6, 1)):
         gathered.clear()
@@ -1017,12 +1055,12 @@ def test_self_search_starts_without_the_identity_row():
     every qubit: a row trivial at every phase, which _starts leaves out; an
     alignment with another state keeps all 4 sign diagonals."""
     psi = make_gabcd(1, 2 + 1j, 3, 0.5)
-    start, path = _starts(psi, psi, 32, 0, True)
+    start, path = _starts(psi, psi, 32, 0)
     assert (path, len(start)) == ("pair_exact", 3)
     assert np.all(_chain_distance(start, np.eye(2)) > _IDENTITY_EXCLUSION_RADIUS)
     reps = [gtilde_triviality_probe(sample_haar_state(5, s)).representative for s in (0, 1)]
     for phi, other in ((psi, apply_chain(sample_chain(4, "K", 1), psi)), reps):
-        start, path = _starts(phi, other, 32, 0, False)
+        start, path = _starts(phi, other, 32, 0)
         assert (path, len(start)) == ("pair_exact", 4)
 
 
@@ -1080,7 +1118,7 @@ def test_certified_probe_runs_no_search(monkeypatch):
     pins nothing, and gathers Pauli images only in its scaling."""
     psi = sample_haar_state(5, 1)
     gathered = []
-    for module in (states, critical, stabilizer):
+    for module in (states, stabilizer):
         monkeypatch.setattr(module, "_pauli_images",
                             lambda *a, f=module._pauli_images: gathered.append(1) or f(*a))
     representative(psi)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -89,8 +90,9 @@ def test_equality_and_hash_are_by_identity(make):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), exponent=st.integers(-300, 300), seed=st.integers(0, 2**16))
 def test_norm_and_gram_are_computed_once(n, exponent, seed):
-    """The memoized norm and Pauli Gram matrix equal a fresh computation bitwise,
-    across the overflow guard of norm(), and repeated access returns the same object."""
+    """The memoized norm and Pauli Gram matrix C / C[0, 0] of the normalized state
+    equal a fresh computation bitwise, across the overflow guard of norm(), and
+    repeated access returns the same object."""
     amp = 10.0**exponent * sample_haar_state(n, seed).amplitudes
     psi = PureState(n, amp)
     big = np.max(np.abs(amp))
@@ -99,6 +101,7 @@ def test_norm_and_gram_are_computed_once(n, exponent, seed):
     with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e300 overflow
         images = _pauli_images(amp).view(float)
         expected = images @ images.T
+        expected = expected / expected[0, 0]
         gram = psi.pauli_gram
     assert gram.tobytes() == expected.tobytes()
     assert psi.pauli_gram is gram and not gram.flags.writeable
@@ -111,6 +114,21 @@ def test_norm_past_the_largest_float_is_inf_without_warning():
         warnings.simplefilter("error")
         assert psi.norm() == np.inf
         assert abs(psi.normalized().norm() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: PureState(0, np.ones(1)), "need at least one qubit, got n=0"),
+    (lambda: PureState(2, np.zeros(4)).normalized(), "cannot normalize the zero vector"),
+    (lambda: LocalOperatorChain(np.stack([np.eye(3)] * 2), "Kt"),
+     "factors must have shape (n, 2, 2), got (2, 3, 3)"),
+    (lambda: make_ln(1), "need n >= 2, got 1"),
+    (lambda: make_ghz(1), "GHZ state needs n >= 2, got 1"),
+    (lambda: sample_haar_state(0, 0), "need n >= 1, got 0"),
+    (lambda: sample_chain(3, "X", 0), "unknown group tag 'X'"),
+], ids=["zero-qubits", "normalize-zero", "chain-shape", "ln1", "ghz1", "haar0", "chain-tag"])
+def test_constructors_reject_invalid_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_make_w_n2():
