@@ -33,6 +33,8 @@ from .states import (
     fidelity,
     derive_rng,
     _apply_factors,
+    _built,
+    _det_rejected,
     _require_normalized,
     _require_seed,
     _vector_norm,
@@ -76,17 +78,20 @@ def _rescaled_connector(psi: PureState, factors: np.ndarray,
                         scalar: complex) -> tuple[LocalOperatorChain, PureState]:
     """(g', g psi / ||g psi||) for g = scalar (x)_k factors_k, from one product g psi
     straight from the factor kernel; g' and the target are the only chain and state
-    built.  g' has 1/||g psi||^(1/n) in each factor, so g' psi is that unit-norm target;
-    its Gt tag rejects a singular factor, as a positive rescale keeps the relative test."""
+    built, from arrays made here, with no check but one of g''s Gt rule: a factor
+    tagged G passes its own rule with |det| below 1e-12 ||g||_F**2 (diag(1e7, 1e-7)).
+    g' has 1/||g psi||^(1/n) in each factor, so g' psi is that unit-norm target."""
     if len(factors) != psi.n:
         raise ValueError(f"chain acts on {len(factors)} qubits, state has {psi.n}")
     out = scalar * _apply_factors(factors, psi.amplitudes)
     out_norm = _vector_norm(out)
     if not 0.0 < out_norm < np.inf:
         raise ValueError("g psi underflows to zero or is not finite; rescale the chain's factors")
-    scale = (abs(scalar) / out_norm) ** (1.0 / len(factors))
-    g = LocalOperatorChain(factors * scale, "Gt", scalar=scalar / abs(scalar))
-    return g, PureState(psi.n, out / out_norm)
+    g = factors * (abs(scalar) / out_norm) ** (1.0 / len(factors))
+    if _det_rejected(g, "Gt").any():
+        raise ValueError("tag Gt requires invertible factors")
+    return (_built(LocalOperatorChain, factors=g, group_tag="Gt", scalar=scalar / abs(scalar)),
+            _built(PureState, n=psi.n, amplitudes=out / out_norm))
 
 
 def pmax(psi: PureState, chain: LocalOperatorChain,

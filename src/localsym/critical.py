@@ -22,10 +22,13 @@ moments, so no eigensolver runs; outside the Newton range the convergence
 check stops at the first qubit outside tolerance.  In the Newton range one
 ``states._gram_and_bloch`` per iterate gives its Gram matrix C / ||t||**2,
 its Bloch vectors and ||t||**2: the check reads every qubit's deviation off
-the Bloch vectors, the Newton step its gradient and Hessian, the trajectory
-||t||, and a converged representative keeps the Gram matrix as its
-``pauli_gram``, the property's own definition, which the Lie probe, the
-commutant and the T_1k read.
+the Bloch vectors (``_bloch_deviation``), the Newton step its gradient and
+Hessian, the trajectory ||t||, and a converged representative keeps the Gram
+matrix and Bloch vectors as its Pauli gather, the property's own definition,
+which the Lie probe, the commutant, the T_1k and the search's criticality
+precondition read.  The chain and the representative are built from the loop's
+own arrays (``states._built``): the determinant repair in ``finish`` is the
+chain's one determinant pass.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .states import (
     _UNIT_AND_PAULIS,
     _apply_factors,
     _apply_next,
+    _built,
     _det_rejected,
     _gram_and_bloch,
     _moments,
@@ -85,6 +89,12 @@ class ScalingResult:
     # the representative is more than 1e-10 from scalar * A psi, so not psi's)
     status: str
     norm_trajectory: list[float]
+
+
+def _bloch_deviation(bloch: np.ndarray) -> float:
+    """max_k ||rho_k - I/2||_F = max_k |r_k| / sqrt(2) for rho_k = (I + r_k . sigma) / 2,
+    from the Bloch vectors r of ``_gram_and_bloch``: the deviation of the reductions."""
+    return math.sqrt(0.5 * (bloch * bloch).reshape(-1, 3).sum(1).max())
 
 
 def _deviations(t: np.ndarray, n: int):
@@ -171,8 +181,8 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     it.  Convergence is declared when all reductions of the running state,
     taken at unit trace, are within ``tol`` of I/2 in Frobenius norm: in the
     Newton range |r_k| / sqrt(2) for the Bloch vectors r of the iterate's one
-    gather (``_gram_and_bloch``), whose Gram matrix a converged representative
-    keeps as its ``pauli_gram``; outside it checked from qubit 0 (whose
+    gather (``_gram_and_bloch``), which a converged representative keeps as its
+    own (its ``pauli_gram`` and Bloch vectors); outside it checked from qubit 0 (whose
     moments the sweep's first step reuses) to the first that is not.  The
     trajectory holds the unit-norm check's norm, then one norm per iteration:
     the sweep's, or an accepted Newton step's sqrt(C[0, 0]) from the gather
@@ -205,9 +215,9 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
     gathered = None  # in the Newton range, _gram_and_bloch of t
 
     def finish(status, iterations):
-        if (bad := _det_rejected(acc, "G")).any():  # det drifts over many sweeps
+        if (bad := _det_rejected(acc, "G")).any():  # the one det pass: det drifts over sweeps
             acc[bad] /= np.sqrt(np.linalg.det(acc[bad]))[:, None, None]
-        chain = LocalOperatorChain(acc, "G")
+        chain = _built(LocalOperatorChain, factors=acc, group_tag="G")
         rep, scalar = None, 1.0
         if status == "converged":
             nrm = np.linalg.norm(t)
@@ -216,17 +226,15 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
             if np.linalg.norm(direct - amp) > _FORWARD_TOL:
                 status = "ill_conditioned"
             else:
-                rep, scalar = PureState(n, amp), 1.0 / nrm
-                if gathered is not None:  # C / ||t||**2, as the property would compute it
-                    vars(rep)["pauli_gram"] = gathered[0]
+                rep, scalar = _built(PureState, n=n, amplitudes=amp), 1.0 / nrm
+                if gathered is not None:  # C / ||t||**2 and r, as the property would compute them
+                    vars(rep)["_gather"] = gathered[:2]
         return ScalingResult(rep, chain, complex(scalar), iterations, status, trajectory)
 
     for it in range(max_iter + 1):
         if newton_range:
             gathered = gathered or _gram_and_bloch(t)
-            # ||rho_k - I/2||_F = |r_k| / sqrt(2) for rho_k = (I + r_k . sigma) / 2
-            sq_bloch = (gathered[1] * gathered[1]).reshape(-1, 3).sum(1)
-            converged = math.sqrt(0.5 * sq_bloch.max()) <= tol
+            converged = _bloch_deviation(gathered[1]) <= tol
         else:
             devs = _deviations(t, n)
             first, dev = next(devs)

@@ -9,8 +9,9 @@ Chain file: {"n": int, "group": "G"|"K"|"Gt"|"Kt",
 Complex arrays are written and read whole, with repr-exact doubles, so
 a round trip is bit-exact (signed zeros and subnormals included).
 Readers reject a non-integer ``n``, non-numeric or non-finite values,
-JSON booleans in either, pairs that are not two numbers, and amplitude
-or factor counts other than ``n`` declares.
+JSON booleans in either, pairs that are not two numbers, amplitude or
+factor counts other than ``n`` declares, and a missing required field,
+which the error names.
 """
 
 from __future__ import annotations
@@ -53,10 +54,18 @@ def _complex_array(data, shape: tuple, field: str) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
+def _field(data: dict, name: str):
+    """data[name], or a ValueError naming the missing field."""
+    try:
+        return data[name]
+    except KeyError:
+        raise ValueError(f"missing field {name!r}") from None
+
+
 def _declared_n(data: dict) -> int:
-    if isinstance(data["n"], bool):  # operator.index(True) is 1
+    if isinstance(n := _field(data, "n"), bool):  # operator.index(True) is 1
         raise ValueError("n: expected an integer, got a boolean")
-    return operator.index(data["n"])
+    return operator.index(n)
 
 
 def state_to_dict(psi: PureState) -> dict:
@@ -65,11 +74,12 @@ def state_to_dict(psi: PureState) -> dict:
 
 def state_from_dict(data: dict) -> PureState:
     n = _declared_n(data)
-    count = len(data["amplitudes"])
+    amplitudes = _field(data, "amplitudes")
+    count = len(amplitudes)
     # compare exponents first: the file's n is not trusted to form 2**n
     if n != count.bit_length() - 1 or count != 2**n:
         raise ValueError(f"state file: n = {n} needs 2**n amplitudes, got {count}")
-    return PureState(n, _complex_array(data["amplitudes"], (count,), "amplitudes"))
+    return PureState(n, _complex_array(amplitudes, (count,), "amplitudes"))
 
 
 def write_state(psi: PureState, path) -> None:
@@ -91,9 +101,9 @@ def chain_to_dict(chain: LocalOperatorChain) -> dict:
 
 def chain_from_dict(data: dict) -> LocalOperatorChain:
     n = _declared_n(data)
-    factors = _complex_array(data["factors"], (n, 2, 2), "factors")
+    factors = _complex_array(_field(data, "factors"), (n, 2, 2), "factors")
     scalar = _complex_array(data.get("scalar", [1.0, 0.0]), (), "scalar")
-    return LocalOperatorChain(factors, data["group"], scalar=complex(scalar))
+    return LocalOperatorChain(factors, _field(data, "group"), scalar=complex(scalar))
 
 
 def write_chain(chain: LocalOperatorChain, path) -> None:

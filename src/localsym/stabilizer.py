@@ -38,13 +38,15 @@ from .states import (
     derive_rng,
     _UNIT_AND_PAULIS,
     _apply_factors,
+    _built,
     _correlations,
     _ginibre,
     _haar_u2,
     _pauli_images,
+    _require_normalized,
     _require_seed,
 )
-from .critical import criticality_report, scale_to_critical
+from .critical import _bloch_deviation, criticality_report, scale_to_critical
 from .invariants import f2, f4
 
 __all__ = [
@@ -422,8 +424,10 @@ def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
     """Hits (t, u, ||u psi - t psi||) below tol in phase order, with ``_align``'s
     residuals, and the path.  At any phase a row within _IDENTITY_EXCLUSION_RADIUS of
     +-I is dropped and one within _DEDUP_RADIUS of a hit kept before it is merged:
-    such chains differ by factor signs, so their phases by +-1.  Only kept hits
-    become chains.
+    such chains differ by factor signs, so their phases by +-1.  The merge reads one
+    matrix of pairwise distances (computed in row blocks of _BATCH_BYTES).  Only kept
+    hits become chains, with no check: products of ``_su2`` factors and sign flips,
+    they are in SU(2)**n by construction.
     """
     all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, True)
     p, r = np.nonzero(all_residuals < tol)
@@ -431,10 +435,14 @@ def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
         return [], path
     fac, res = all_factors[p, r], all_residuals[p, r]
     left, kept = _chain_distance(fac, np.eye(2)) > _IDENTITY_EXCLUSION_RADIUS, []
+    block = max(1, _BATCH_BYTES // (fac[0].nbytes * len(fac)))
+    far = np.concatenate([_chain_distance(fac[lo:lo + block, None], fac) >= _DEDUP_RADIUS
+                          for lo in range(0, len(fac), block)])
     while left.any():  # the first row left is kept and merges its near-duplicates
         kept.append(np.argmax(left))
-        left &= _chain_distance(fac, fac[kept[-1]]) >= _DEDUP_RADIUS
-    return [(phases[p[i]], LocalOperatorChain(fac[i], "K"), float(res[i])) for i in kept], path
+        left &= far[kept[-1]]
+    return [(phases[p[i]], _built(LocalOperatorChain, factors=fac[i], group_tag="K"),
+             float(res[i])) for i in kept], path
 
 
 def discrete_stabilizer_search(psi: PureState, restarts: int = 32, seed: int = 0,
@@ -459,15 +467,17 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
     factor.  With t = 1 this is the discrete search, under the same
     preconditions (a ValueError names the one that fails).  At every t chains
     within the identity-exclusion radius of +-I are dropped: -I on one qubit
-    gives u psi = -psi for every state, a hit at any t near +-1.
+    gives u psi = -psi for every state, a hit at any t near +-1.  Criticality is
+    read, after the unit-norm check, off psi's one Pauli gather, which the Lie
+    gate and the starts read too: max_k |r_k| / sqrt(2) <= 1e-8 for its Bloch
+    vectors r, the Frobenius deviation ``criticality_report`` computes.
     """
     if not abs(abs(t) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"phase must have unit modulus, got |t| = {abs(t)}")
     _require_budget(restarts, seed, tol)
-    crit = criticality_report(psi, tol=_CRITICAL_PRE_TOL)
-    if not crit.is_critical:
-        raise ValueError("precondition failed: criticality "
-                         f"(max deviation {crit.max_deviation:.2e})")
+    _require_normalized(psi)  # before the gather, whose Gram matrix is NaN far from norm 1
+    if not (deviation := _bloch_deviation(psi._gather[1])) <= _CRITICAL_PRE_TOL:
+        raise ValueError(f"precondition failed: criticality (max deviation {deviation:.2e})")
     probe = _lie_probe(psi, is_critical=True)
     if probe.lie_dim != 0:
         raise ValueError(f"precondition failed: lie_dim (got {probe.lie_dim}, need 0)")

@@ -11,7 +11,14 @@ Conventions used throughout the package:
   plain 2-D ``np.dot`` for one factor on one state), applies every 2x2 factor;
   one gather of Pauli images (``_pauli_images``) gives, by ``_gram_and_bloch``,
   the normalized state's Gram matrix (the Lie spectrum, the T_jk, the Newton
-  Hessian) and Bloch vectors (the Newton-range convergence check).
+  Hessian) and Bloch vectors (the Newton-range convergence check and the search's
+  criticality precondition).
+* ``PureState(...)`` and ``LocalOperatorChain(...)`` check their input, which
+  comes from user code and the ``io`` readers.  Objects the library builds from
+  arrays it has just made and owns, whose construction already guarantees the
+  invariants (the scaling's chain and representative, the search's hits, the
+  rescaled connector and its target, ``normalized`` and ``sample_haar_state``),
+  go through ``_built`` and are not checked again.
 """
 
 from __future__ import annotations
@@ -54,11 +61,11 @@ def _det_rejected(factors: np.ndarray, group_tag: str) -> np.ndarray:
     """Which factors of a (n, 2, 2) stack fail the determinant rule of tag G,
     K or Gt, each judged against s_k = ||g_k||_F**2 / 2, the size of det's
     rounding (1 for a unitary): G and K need |det g_k - 1| <= 1e-12 s_k, Gt
-    needs |det g_k| >= 2e-12 s_k."""
+    needs |det g_k| > 2e-12 s_k."""
     dets = np.linalg.det(factors)
     scale = 0.5 * np.einsum("kij,kij->k", factors, factors.conj()).real
-    if group_tag == "Gt":
-        return abs(dets) < 2 * _DET_TOL * scale
+    if group_tag == "Gt":  # not >: a zero factor (0 <= 0) and a NaN det fail
+        return ~(abs(dets) > 2 * _DET_TOL * scale)
     return abs(dets - 1.0) > _DET_TOL * scale
 
 
@@ -76,8 +83,10 @@ class PureState:
     """Pure state of ``n`` qubits; possibly unnormalized.
 
     Operations that need unit norm state it as a precondition rather
-    than silently renormalizing.  The amplitudes are a read-only copy of
-    the input, so the norm and the Pauli Gram matrix are computed once.
+    than silently renormalizing.  The constructor checks its input and
+    holds a read-only copy of it, so the norm and the Pauli gather (Gram
+    matrix and Bloch vectors) are computed once; states the library
+    builds from its own arrays (``_built``) are not checked again.
     """
 
     n: int
@@ -112,16 +121,21 @@ class PureState:
         return _vector_norm(self.amplitudes)
 
     @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only Gram matrix and Bloch vectors of ``_gram_and_bloch``."""
+        return _gram_and_bloch(self.amplitudes)[:2]
+
+    @property
     def pauli_gram(self) -> np.ndarray:
         """C / ||psi||**2, C = Re P P^dag, the read-only Pauli Gram matrix of psi normalized."""
-        return _gram_and_bloch(self.amplitudes)[0]
+        return self._gather[0]
 
     def normalized(self) -> "PureState":
         big = np.max(np.abs(self.amplitudes))
         if big == 0.0:
             raise ValueError("cannot normalize the zero vector")
         unit = self.amplitudes / big
-        return PureState(self.n, unit / np.linalg.norm(unit))
+        return _built(PureState, n=self.n, amplitudes=unit / np.linalg.norm(unit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +148,9 @@ class LocalOperatorChain:
     (``_det_rejected``), so large SL(2) products pass.  ``scalar`` is an
     optional global prefactor kept separate so determinant-one structure
     of the factors is preserved.
-    The factors are a read-only copy of the input.
+    The constructor checks its input and holds a read-only copy of the
+    factors; chains the library builds from its own factors (``_built``)
+    are not checked again.
     """
 
     factors: np.ndarray
@@ -161,6 +177,19 @@ class LocalOperatorChain:
     @property
     def n(self) -> int:
         return self.factors.shape[0]
+
+
+def _built(cls, **fields):
+    """A ``PureState`` or ``LocalOperatorChain`` of ``fields`` for complex128,
+    C-contiguous arrays the library has just made and owns: no copy and no check,
+    the arrays are only set read-only.  Callers guarantee what the constructor
+    checks; input from users and files goes through the constructor."""
+    obj = object.__new__(cls)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    vars(obj).update(fields)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +339,16 @@ def _pauli_images(amp: np.ndarray) -> np.ndarray:
 def _gram_and_bloch(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(C / ||amp||**2, r, ||amp||**2) from one gather of the Pauli images P of the
     amplitudes: the read-only Gram matrix C = Re P P^T over ||amp||**2 (I_3 on its
-    diagonal blocks, the T_jk off them), the Bloch vectors r = Re P amp* / ||amp||**2
+    diagonal blocks, the T_jk off them), the read-only Bloch vectors r = Re P amp* / ||amp||**2
     (row 3k + a is <sigma_a on qubit k>) and ||amp||**2 = C[0, 0], as sigma_x is unitary."""
     flat = amp.reshape(-1)
     images = _pauli_images(flat).view(float)
     gram = images @ images.T
     sq_norm = gram[0, 0]
-    unit_gram = gram / sq_norm
+    unit_gram, bloch = gram / sq_norm, images @ flat.view(float) / sq_norm
     unit_gram.setflags(write=False)
-    return unit_gram, images @ flat.view(float) / sq_norm, float(sq_norm)
+    bloch.setflags(write=False)
+    return unit_gram, bloch, float(sq_norm)
 
 
 def _correlations(gram: np.ndarray) -> np.ndarray:
@@ -376,7 +406,7 @@ def sample_haar_state(n: int, seed) -> PureState:
     _require_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return PureState(n, z / np.linalg.norm(z))
+    return _built(PureState, n=n, amplitudes=z / np.linalg.norm(z))
 
 
 def _ginibre(rng: np.random.Generator, shape: tuple) -> np.ndarray:

@@ -29,3 +29,34 @@ def near_null_cone_state(n, seed):
     base[0] = 1.0
     phi = PureState(n, base + 1e-5 * sample_haar_state(n, seed).amplitudes).normalized()
     return apply_chain(sample_chain(n, "K", 100 + seed), phi)
+
+
+def count_calls(monkeypatch, call, name) -> int:
+    """How often call() reaches the package kernel ``name`` (``_det_rejected``,
+    ``_moments``, ...), through every module's binding of it."""
+    from localsym import convert, critical, stabilizer, states
+
+    calls = []
+    for module in (states, critical, stabilizer, convert):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name,
+                                lambda *a, f=getattr(module, name): calls.append(1) or f(*a))
+    call()
+    return len(calls)
+
+
+def assert_passes_constructor(obj, *inputs):
+    """obj, built without a check, passes its public constructor with the same bits;
+    its array is read-only, complex128 and C-contiguous, and shares no memory with
+    the caller's arrays ``inputs``."""
+    from localsym import LocalOperatorChain
+
+    if isinstance(obj, PureState):
+        array, again = obj.amplitudes, PureState(obj.n, obj.amplitudes).amplitudes
+    else:
+        array = obj.factors
+        again = LocalOperatorChain(array, obj.group_tag, obj.scalar).factors
+    assert again.tobytes() == array.tobytes()
+    assert array.dtype == np.complex128 and array.flags.c_contiguous
+    assert not array.flags.writeable
+    assert not any(np.shares_memory(array, x) for x in inputs)

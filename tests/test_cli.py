@@ -12,7 +12,7 @@ import pytest
 from localsym import cli, critical, stabilizer
 from localsym import make_gabcd, make_ghz, make_ln, make_w, sample_haar_state
 from localsym.cli import main
-from localsym.io import chain_from_dict, read_state, write_state, write_chain
+from localsym.io import chain_from_dict, complex_pair, read_state, write_state, write_chain
 from localsym import LocalOperatorChain
 
 from conftest import near_null_cone_state
@@ -325,6 +325,30 @@ def test_pmax_chain_length_mismatch(tmp_path, capsys):
     write_chain(LocalOperatorChain(factors, "G"), chain)
     assert main(["pmax", str(state), str(chain)]) == 1
     assert "factors" in capsys.readouterr().err
+
+
+def test_pmax_rejects_a_chain_file_with_a_zero_factor(tmp_path, capsys):
+    """A zero factor fails tag Gt's invertibility rule when the file is read,
+    before pmax could report that g psi underflows."""
+    state, chain = tmp_path / "l5.json", tmp_path / "g.json"
+    write_state(make_ln(5), state)
+    factors = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
+    factors[2] = 0.0
+    chain.write_text(json.dumps({"n": 5, "group": "Gt", "factors": complex_pair(factors)}))
+    assert main(["pmax", str(state), str(chain)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read chain file") and "invertible" in err
+
+
+def test_missing_chain_field_is_named(tmp_path, capsys):
+    state, chain = tmp_path / "l5.json", tmp_path / "g.json"
+    write_state(make_ln(5), state)
+    write_chain(l5_chain(), chain)
+    data = json.loads(chain.read_text())
+    del data["factors"]
+    chain.write_text(json.dumps(data))
+    assert main(["pmax", str(state), str(chain)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read chain file {chain}: missing field 'factors'\n"
 
 
 def test_genericity_command(tmp_path):

@@ -19,10 +19,10 @@ from localsym import (
     sample_haar_state,
 )
 
-from localsym import stabilizer, states
+from localsym import convert, stabilizer, states
 from localsym.convert import ProtocolRunStats, _rescaled_connector
 from localsym.states import _apply_factors, _apply_next, _unitary_deviation, derive_rng
-from conftest import kron_all
+from conftest import assert_passes_constructor, count_calls, kron_all
 
 
 def diag_chain_l5():
@@ -111,6 +111,10 @@ def test_singular_factor_rejected_at_chain_construction():
     factors = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
     factors[1] = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
+        LocalOperatorChain(factors, "Gt")
+    # an all-zero factor has det 0 = 2e-12 ||g||_F**2 / 2 exactly: on the bound, rejected
+    factors[1] = 0.0
+    with pytest.raises(ValueError, match="tag Gt requires invertible factors"):
         LocalOperatorChain(factors, "Gt")
 
 
@@ -460,12 +464,16 @@ def test_plan_matches_state_building_reference(n, tag, seed, log_modulus, sign, 
 def test_plan_builds_only_the_states_it_returns(monkeypatch):
     """pmax, build_protocol and simulate_protocol build two states, the targets of
     the two rescales (the state-building reference built six), in 3n factor
-    applications; zero trials apply no factor."""
+    applications; zero trials apply no factor.  States are counted on both
+    construction paths, the checked constructor and the unchecked ``_built``."""
     n = 6
     psi, chain = sample_haar_state(n, 13), sample_chain(n, "G", 14)
     built, calls = [], []
     post_init = PureState.__post_init__
     monkeypatch.setattr(PureState, "__post_init__", lambda self: built.append(1) or post_init(self))
+    for module in (states, convert):
+        monkeypatch.setattr(module, "_built", lambda cls, f=module._built, **kw:
+                            (cls is PureState and built.append(1)) or f(cls, **kw))
     monkeypatch.setattr(states, "_apply_next", lambda *a: calls.append(1) or _apply_next(*a))
     pmax(psi, chain)
     plan = build_protocol(psi, chain)
@@ -493,3 +501,32 @@ def test_rescale_errors_raise_without_warnings(chain, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             pmax(make_ln(5), chain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(["G", "Gt", "K", "Kt"]), st.integers(0, 2**32 - 1))
+def test_connector_and_target_pass_the_public_constructors(n, tag, seed):
+    """The rescaled connector and the target ``pmax`` builds without a check pass
+    ``LocalOperatorChain(..., "Gt")`` and ``PureState(...)`` bit for bit."""
+    psi, chain = sample_haar_state(n, seed), sample_chain(n, tag, seed + 1)
+    plan = pmax(psi, chain)
+    assert plan.connector.group_tag == "Gt"
+    for built in (plan.connector, plan.target):
+        assert_passes_constructor(built, psi.amplitudes, chain.factors)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (4, 1), (5, 2), (6, 3), (4, 6)])
+def test_find_connector_result_passes_the_public_constructor(n, seed):
+    psi = sample_haar_state(n, seed)
+    phi = apply_chain(sample_chain(n, "G", seed + 10), psi).normalized()
+    g = find_connector(psi, phi, seed=seed)
+    assert g is not None
+    assert_passes_constructor(g, psi.amplitudes, phi.amplitudes)
+
+
+def test_pmax_runs_one_determinant_pass(monkeypatch):
+    """Counts, not timings: pmax on a G chain tests the rescaled connector's Gt
+    rule once and re-checks nothing else."""
+    psi, chain = sample_haar_state(5, 3), sample_chain(5, "G", 4)
+    assert count_calls(monkeypatch, lambda: pmax(psi, chain), "_det_rejected") == 1
+    assert count_calls(monkeypatch, lambda: pmax(psi, chain), "_unitary_deviation") == 0

@@ -20,7 +20,8 @@ from localsym.critical import _flattening_factor, _newton_factors
 from localsym.io import chain_from_dict, chain_to_dict
 from localsym.states import _gram_and_bloch, _moments, _pauli_tables
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all, near_null_cone_state
+from conftest import (SIGMA_X, SIGMA_Y, SIGMA_Z, assert_passes_constructor, kron_all,
+                      near_null_cone_state)
 
 
 def reconstruct(psi, result):
@@ -269,7 +270,7 @@ def eager_scaling(psi, tol, max_iter, newton=True):
     vectors of a fresh ``_gram_and_bloch`` (no gather carried over), else from the
     moments; newton=False gives the sweep-only loop for every n: (status,
     iterations, trajectory, chain, representative, scalar, the representative's
-    Gram matrix or None if it is left to be computed)."""
+    Gram matrix and Bloch vectors or None if they are left to be computed)."""
     n, t = psi.n, psi.amplitudes.reshape(2, -1)
     newton = newton and 4 <= n <= 8
     acc = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
@@ -281,7 +282,7 @@ def eager_scaling(psi, tol, max_iter, newton=True):
             return status, iterations, trajectory, acc, None, 1.0 + 0j, None
         nrm = np.linalg.norm(t)
         return (status, iterations, trajectory, acc, t.reshape(-1) / nrm, complex(1.0 / nrm),
-                gram if newton else None)
+                (gram, r) if newton else None)
 
     for it in range(max_iter + 1):
         if newton:
@@ -323,7 +324,7 @@ def eager_scaling(psi, tol, max_iter, newton=True):
 
 
 def assert_bitwise(result, expected):
-    status, iterations, trajectory, chain, rep, scalar, gram = expected
+    status, iterations, trajectory, chain, rep, scalar, gather = expected
     assert (result.status, result.iterations, result.scalar) == (status, iterations, scalar)
     assert result.norm_trajectory == trajectory
     assert result.accumulated_chain.factors.tobytes() == chain.tobytes()
@@ -331,11 +332,12 @@ def assert_bitwise(result, expected):
         assert result.representative is None
     else:
         assert result.representative.amplitudes.tobytes() == rep.tobytes()
-        if gram is not None:  # seeded by the scaling, not computed from the amplitudes
-            seeded = vars(result.representative)["pauli_gram"]
-            assert seeded.tobytes() == gram.tobytes() and not seeded.flags.writeable
+        if gather is not None:  # seeded by the scaling, not computed from the amplitudes
+            seeded = vars(result.representative)["_gather"]
+            for got, want in zip(seeded, gather, strict=True):
+                assert got.tobytes() == want.tobytes() and not got.flags.writeable
         else:
-            assert "pauli_gram" not in vars(result.representative)
+            assert "_gather" not in vars(result.representative)
 
 
 @settings(max_examples=100, deadline=None)
@@ -503,3 +505,29 @@ def test_newton_range_scaling_gathers_once_per_checked_iterate(monkeypatch):
                                            max_iter=max_iter)
                 assert result.status in ("converged", "max_iter") and moments == []
                 assert len(gathered) == result.iterations + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 10), st.integers(0, 2**32 - 1), st.sampled_from([1e-10, 1e-11]))
+def test_scaling_outputs_pass_the_public_constructors(n, seed, tol):
+    """The chain and representative a scaling builds without a check pass
+    ``LocalOperatorChain(..., "G")`` and ``PureState(...)`` bit for bit."""
+    psi = sample_haar_state(n, seed)
+    result = scale_to_critical(psi, tol=tol)
+    assert result.status == "converged"
+    for built in (result.accumulated_chain, result.representative):
+        assert_passes_constructor(built, psi.amplitudes)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_near_null_cone_scaling_outputs_pass_the_public_constructors(n):
+    """Chains of Frobenius norm in the hundreds, whose determinants the repair in
+    ``finish`` puts back on SL(2), pass tag G's relative rule; n = 9 ends
+    ill-conditioned, with a chain but no representative."""
+    for seed in range(4 if n < 9 else 1):
+        psi = near_null_cone_state(n, seed)
+        result = scale_to_critical(psi)
+        assert result.status == ("converged" if n < 9 else "ill_conditioned")
+        assert_passes_constructor(result.accumulated_chain, psi.amplitudes)
+        if n < 9:
+            assert_passes_constructor(result.representative, psi.amplitudes)

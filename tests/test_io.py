@@ -138,6 +138,19 @@ def test_chain_dict_validates_group():
         chain_from_dict(data)
 
 
+@pytest.mark.parametrize("kind,field", [("state", "n"), ("state", "amplitudes"),
+                                        ("chain", "factors"), ("chain", "group")])
+def test_missing_field_is_named(kind, field):
+    """A missing required field is a ValueError that names it, not a bare KeyError."""
+    if kind == "state":
+        data, read = state_to_dict(sample_haar_state(2, 0)), state_from_dict
+    else:
+        data, read = chain_to_dict(sample_chain(2, "G", 0)), chain_from_dict
+    del data[field]
+    with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+        read(data)
+
+
 def test_jsonify_handles_numpy_types():
     doc = {
         "a": np.float64(1.5),

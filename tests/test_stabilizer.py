@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from localsym.stabilizer import (_DEDUP_RADIUS, _IDENTITY_EXCLUSION_RADIUS, _ali
                                  _chain_distance, _critical_angles, _polish_rows,
                                  _starts, _su2, _su2_lift)
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
+from conftest import (SIGMA_X, SIGMA_Y, SIGMA_Z, assert_passes_constructor, count_calls,
+                      kron_all)
 
 
 def phase_aligned_distance(dense_a, dense_b):
@@ -271,8 +273,13 @@ def test_probe_never_calls_a_planted_symmetry_trivial(case):
     at odd n, t^2 != 1 at even n), f(psi) = t^d f(psi) makes the pinning invariant
     of degree d vanish, and the representative's reads as zero at the f gate."""
     n, m, k, _ = case
-    verdict = gtilde_triviality_probe(planted_state(*case)[0])
+    psi = planted_state(*case)[0]
+    verdict = gtilde_triviality_probe(psi)
     assert verdict.verdict != "trivial"
+    if verdict.representative is not None:  # hits and representative pass the constructors
+        for built in [verdict.representative] + [chain for *_, chain, _ in (
+                verdict.probe.discrete_candidates + verdict.probe.gtilde_phase_hits)]:
+            assert_passes_constructor(built, psi.amplitudes)
     assert verdict.probe is None or verdict.probe.start_path != "commutant"
     invariant, degree = (f2, 2) if n % 2 == 0 else (f4, 4)
     if (k * degree) % (2 * m) and verdict.representative is not None:
@@ -312,25 +319,55 @@ def test_probe_rejects_empty_budget_at_entry(psi, budget, message):
         gtilde_triviality_probe(psi, **budget)
 
 
-def count_moments(monkeypatch, call) -> int:
-    calls = []
-    kernel = critical._moments
-    monkeypatch.setattr(critical, "_moments", lambda *a: calls.append(1) or kernel(*a))
-    call()
-    return len(calls)
-
-
 def test_search_preconditions_compute_reductions_once(monkeypatch):
-    """One criticality check per search: n one-qubit moments, not 2n."""
-    gabcd, l5 = make_gabcd(1, 2 + 1j, 3, 0.5), make_ln(5)
-    assert count_moments(monkeypatch, lambda: discrete_stabilizer_search(
-        gabcd, restarts=1)) == 4
-    assert count_moments(monkeypatch, lambda: phase_stabilizer_search(
-        l5, 1j, restarts=1)) == 5
+    """Counts, not timings: a library search reads criticality off the state's one
+    Pauli gather, which its Lie gate and starts read too, so it runs no moment
+    pass, and builds its hits, SU(2)**n by construction, with no determinant pass
+    and no unitarity check."""
+    for psi, search in ((make_gabcd(1, 2 + 1j, 3, 0.5), discrete_stabilizer_search),
+                        (make_ln(5), lambda psi: phase_stabilizer_search(psi, 1j))):
+        for kernel, count in (("_moments", 0), ("_det_rejected", 0),
+                              ("_unitary_deviation", 0), ("_gram_and_bloch", 1)):
+            fresh = PureState(psi.n, psi.amplitudes)  # nothing gathered yet
+            with pytest.MonkeyPatch.context() as mp:
+                hits = []
+                assert count_calls(mp, lambda: hits.extend(search(fresh)), kernel) == count
+                assert hits
     # L5 is critical, so scaling stops at its first check and nothing re-checks it;
     # in the Newton range that check reads the gathered Bloch vectors, no moments
-    assert count_moments(monkeypatch, lambda: gtilde_triviality_probe(
-        l5, restarts=1)) == 0
+    assert count_calls(monkeypatch, lambda: gtilde_triviality_probe(
+        make_ln(5), restarts=1), "_moments") == 0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_census_probe_runs_one_determinant_pass(n):
+    """Counts, not timings: a census probe tests determinants once, in the
+    scaling's repair of its chain, and runs no moment pass or unitarity check."""
+    psi = sample_haar_state(n, 301)
+    for kernel, count in (("_det_rejected", 1), ("_moments", 0), ("_unitary_deviation", 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            assert count_calls(mp, lambda: gtilde_triviality_probe(psi), kernel) == count
+
+
+@pytest.mark.parametrize("scale", [2.0, 1e300, 1e-200])
+def test_search_precondition_rejects_unnormalized_states(scale):
+    """The unit-norm check runs before the gather, whose Gram matrix would be
+    NaN at these scales, and raises with no floating-point warning."""
+    psi = PureState(5, scale * make_ln(5).amplitudes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for search in (discrete_stabilizer_search, lambda s: phase_stabilizer_search(s, 1j)):
+            with pytest.raises(ValueError, match="state must be normalized"):
+                search(psi)
+
+
+def test_search_precondition_rejects_a_noncritical_state():
+    """A normalized state 1e-6 off criticality fails the 1e-8 check."""
+    amp = make_ln(5).amplitudes + 1e-6 * sample_haar_state(5, 0).amplitudes
+    psi = PureState(5, amp).normalized()
+    for search in (discrete_stabilizer_search, lambda s: phase_stabilizer_search(s, 1j)):
+        with pytest.raises(ValueError, match="precondition failed: criticality"):
+            search(psi)
 
 
 def probe_outcome(psi):
@@ -1009,7 +1046,7 @@ def test_seeded_gram_matches_a_fresh_one(n, monkeypatch):
     for seed in range(4):
         psi = sample_haar_state(n, 40 + seed)
         rep = stabilizer.scale_to_critical(psi, tol=stabilizer._REPRESENTATIVE_TOL).representative
-        gram = vars(rep)["pauli_gram"]  # nothing has read it: the scaling put it there
+        gram = vars(rep)["_gather"][0]  # nothing has read it: the scaling put it there
         fresh = PureState(n, rep.amplitudes).pauli_gram
         assert not gram.flags.writeable
         assert np.max(abs(gram - fresh)) <= 1e-14 * np.max(abs(fresh))
@@ -1017,7 +1054,7 @@ def test_seeded_gram_matches_a_fresh_one(n, monkeypatch):
         with pytest.MonkeyPatch.context() as mp:
             fresh_representative(mp)
             again = gtilde_triviality_probe(psi)
-        assert "pauli_gram" in vars(again.representative)  # computed by the probe
+        assert "_gather" in vars(again.representative)  # computed by the probe
         assert again.representative.amplitudes.tobytes() == rep.amplitudes.tobytes()
         assert probe_summary(again) == probe_summary(seeded)
 
@@ -1146,3 +1183,37 @@ def test_seed_2030_census_record_is_certified(monkeypatch):
     assert (record.gtilde_verdict, record.failed_gate) == ("trivial", None)
     assert verdicts[0].probe.start_path == "commutant"
     assert polished == []
+
+
+# ---------------------------------------------------------------------------
+# hits built without a check
+# ---------------------------------------------------------------------------
+
+def ln_phase(n):
+    """t = a^(n - 2) for a = e^(i pi / (n - 1)): L_n has the symmetry diag(a, conj a)^n at t."""
+    return np.exp(1j * np.pi * (n - 2) / (n - 1))
+
+
+@pytest.mark.parametrize("psi,t", [(make_gabcd(1, 2 + 1j, 3, 0.5), 1.0), (make_ln(4), 1.0),
+                                   *((make_ln(n), ln_phase(n)) for n in range(5, 9)),
+                                   (make_ln(5), 1j), (make_ln(7), -1j)],
+                         ids=["gabcd", "L4", "L5", "L6", "L7", "L8", "L5-i", "L7-minus-i"])
+def test_search_hits_pass_the_public_constructor(psi, t):
+    """Hits, products of ``_su2`` factors and sign flips built with no check,
+    pass ``LocalOperatorChain(..., "K")`` bit for bit."""
+    hits = phase_stabilizer_search(psi, t)
+    assert hits
+    for chain, _ in hits:
+        assert chain.group_tag == "K"
+        assert_passes_constructor(chain, psi.amplitudes)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_l4_orbit_random_path_hits_pass_the_public_constructor(seed):
+    """Polished Haar rows of the random path, on a random local-unitary orbit point of L4."""
+    psi = apply_chain(sample_chain(4, "K", seed), make_ln(4))
+    hits = discrete_stabilizer_search(psi, seed=seed)
+    assert len(hits) == 3
+    for chain, _ in hits:
+        assert_passes_constructor(chain, psi.amplitudes)

@@ -30,7 +30,7 @@ from localsym import (
 from localsym.states import (_apply_factors, _apply_next, _pauli_images, _pauli_tables,
                              _unitary_deviation)
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, assert_passes_constructor, kron_all
 
 
 def test_purestate_validates_length():
@@ -552,3 +552,16 @@ def test_entry_points_name_a_negative_seed(entry):
     with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
         entry(-1)
     entry(np.int64(0))  # numpy integer seeds pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.floats(1e-150, 1e150))
+def test_normalized_and_haar_states_pass_the_public_constructor(n, seed, scale):
+    """``sample_haar_state`` and ``normalized`` build their states without a
+    check; the constructor takes them bit for bit, and neither shares memory
+    with the state it was made from."""
+    psi = sample_haar_state(n, seed)
+    assert_passes_constructor(psi)
+    amp = scale * psi.amplitudes
+    scaled = PureState(n, amp)
+    assert_passes_constructor(scaled.normalized(), amp, scaled.amplitudes)
