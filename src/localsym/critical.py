@@ -226,9 +226,9 @@ def scale_to_critical(psi: PureState, tol: float = 1e-10,
             if np.linalg.norm(direct - amp) > _FORWARD_TOL:
                 status = "ill_conditioned"
             else:
-                rep, scalar = _built(PureState, n=n, amplitudes=amp), 1.0 / nrm
-                if gathered is not None:  # C / ||t||**2 and r, as the property would compute them
-                    vars(rep)["_gather"] = gathered[:2]
+                # C / ||t||**2 and r, as the properties would compute them
+                gather = {} if gathered is None else {"_gather": gathered[:2]}
+                rep, scalar = _built(PureState, n=n, amplitudes=amp, **gather), 1.0 / nrm
         return ScalingResult(rep, chain, complex(scalar), iterations, status, trajectory)
 
     for it in range(max_iter + 1):

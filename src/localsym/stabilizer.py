@@ -424,9 +424,8 @@ def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
     """Hits (t, u, ||u psi - t psi||) below tol in phase order, with ``_align``'s
     residuals, and the path.  At any phase a row within _IDENTITY_EXCLUSION_RADIUS of
     +-I is dropped and one within _DEDUP_RADIUS of a hit kept before it is merged:
-    such chains differ by factor signs, so their phases by +-1.  The merge reads one
-    matrix of pairwise distances (computed in row blocks of _BATCH_BYTES).  Only kept
-    hits become chains, with no check: products of ``_su2`` factors and sign flips,
+    such chains differ by factor signs, so their phases by +-1.  Only kept hits
+    become chains, with no check: products of ``_su2`` factors and sign flips,
     they are in SU(2)**n by construction.
     """
     all_factors, all_residuals, path = _align(psi, psi, phases, restarts, seed, True)
@@ -435,12 +434,9 @@ def _search(psi: PureState, phases, restarts: int, seed: int, tol: float
         return [], path
     fac, res = all_factors[p, r], all_residuals[p, r]
     left, kept = _chain_distance(fac, np.eye(2)) > _IDENTITY_EXCLUSION_RADIUS, []
-    block = max(1, _BATCH_BYTES // (fac[0].nbytes * len(fac)))
-    far = np.concatenate([_chain_distance(fac[lo:lo + block, None], fac) >= _DEDUP_RADIUS
-                          for lo in range(0, len(fac), block)])
     while left.any():  # the first row left is kept and merges its near-duplicates
         kept.append(np.argmax(left))
-        left &= far[kept[-1]]
+        left &= _chain_distance(fac, fac[kept[-1]]) >= _DEDUP_RADIUS
     return [(phases[p[i]], _built(LocalOperatorChain, factors=fac[i], group_tag="K"),
              float(res[i])) for i in kept], path
 
@@ -476,7 +472,7 @@ def phase_stabilizer_search(psi: PureState, t: complex, restarts: int = 32,
         raise ValueError(f"phase must have unit modulus, got |t| = {abs(t)}")
     _require_budget(restarts, seed, tol)
     _require_normalized(psi)  # before the gather, whose Gram matrix is NaN far from norm 1
-    if not (deviation := _bloch_deviation(psi._gather[1])) <= _CRITICAL_PRE_TOL:
+    if not (deviation := _bloch_deviation(psi.bloch_vectors)) <= _CRITICAL_PRE_TOL:
         raise ValueError(f"precondition failed: criticality (max deviation {deviation:.2e})")
     probe = _lie_probe(psi, is_critical=True)
     if probe.lie_dim != 0:

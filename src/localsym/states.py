@@ -130,6 +130,11 @@ class PureState:
         """C / ||psi||**2, C = Re P P^dag, the read-only Pauli Gram matrix of psi normalized."""
         return self._gather[0]
 
+    @property
+    def bloch_vectors(self) -> np.ndarray:
+        """The read-only Bloch vectors r of psi normalized: r[3k + a] = <sigma_a on qubit k>."""
+        return self._gather[1]
+
     def normalized(self) -> "PureState":
         big = np.max(np.abs(self.amplitudes))
         if big == 0.0:
@@ -182,8 +187,10 @@ class LocalOperatorChain:
 def _built(cls, **fields):
     """A ``PureState`` or ``LocalOperatorChain`` of ``fields`` for complex128,
     C-contiguous arrays the library has just made and owns: no copy and no check,
-    the arrays are only set read-only.  Callers guarantee what the constructor
-    checks; input from users and files goes through the constructor."""
+    the arrays are only set read-only.  A field may also seed a cached property
+    (the scaling hands its representative the ``_gather`` of its last iterate).
+    Callers guarantee what the constructor checks; input from users and files
+    goes through the constructor."""
     obj = object.__new__(cls)
     for value in fields.values():
         if isinstance(value, np.ndarray):

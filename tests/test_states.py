@@ -90,9 +90,9 @@ def test_equality_and_hash_are_by_identity(make):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), exponent=st.integers(-300, 300), seed=st.integers(0, 2**16))
 def test_norm_and_gram_are_computed_once(n, exponent, seed):
-    """The memoized norm and Pauli Gram matrix C / C[0, 0] of the normalized state
-    equal a fresh computation bitwise, across the overflow guard of norm(), and
-    repeated access returns the same object."""
+    """The memoized norm, Pauli Gram matrix C / C[0, 0] and Bloch vectors of the
+    normalized state equal a fresh computation bitwise, across the overflow guard
+    of norm(), and repeated access returns the same object."""
     amp = 10.0**exponent * sample_haar_state(n, seed).amplitudes
     psi = PureState(n, amp)
     big = np.max(np.abs(amp))
@@ -101,10 +101,13 @@ def test_norm_and_gram_are_computed_once(n, exponent, seed):
     with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e300 overflow
         images = _pauli_images(amp).view(float)
         expected = images @ images.T
+        bloch = images @ amp.view(float) / expected[0, 0]
         expected = expected / expected[0, 0]
         gram = psi.pauli_gram
     assert gram.tobytes() == expected.tobytes()
     assert psi.pauli_gram is gram and not gram.flags.writeable
+    assert psi.bloch_vectors.tobytes() == bloch.tobytes()
+    assert psi.bloch_vectors is psi.bloch_vectors and not psi.bloch_vectors.flags.writeable
 
 
 def test_norm_past_the_largest_float_is_inf_without_warning():
